@@ -1,6 +1,10 @@
 #include "video/container/vrmp.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 namespace visualroad::video::container {
@@ -212,11 +216,32 @@ StatusOr<Container> Demux(const std::vector<uint8_t>& bytes) {
 
 Status WriteContainerFile(const Container& container, const std::string& path) {
   std::vector<uint8_t> bytes = Mux(container);
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return Status::IoError("cannot open for writing: " + path);
-  file.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  if (!file) return Status::IoError("write failed: " + path);
+  // Several writers (threads or worker processes) may write one path at once.
+  // Each writes its own temporary file and renames it over `path`, so the
+  // path always holds one writer's complete container, never a truncated or
+  // interleaved one.
+  static std::atomic<uint64_t> sequence{0};
+  const std::string temp = path + ".tmp" + std::to_string(::getpid()) + "_" +
+                           std::to_string(sequence.fetch_add(1));
+  {
+    std::ofstream file(temp, std::ios::binary | std::ios::trunc);
+    if (!file) return Status::IoError("cannot open for writing: " + temp);
+    file.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    file.close();
+    if (!file) {
+      std::error_code ignored;
+      std::filesystem::remove(temp, ignored);
+      return Status::IoError("write failed: " + temp);
+    }
+  }
+  std::error_code ec;
+  std::filesystem::rename(temp, path, ec);
+  if (ec) {
+    std::error_code ignored;
+    std::filesystem::remove(temp, ignored);
+    return Status::IoError("cannot rename " + temp + " to " + path + ": " + ec.message());
+  }
   return Status::Ok();
 }
 

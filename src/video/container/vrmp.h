@@ -38,7 +38,8 @@ std::vector<uint8_t> Mux(const Container& container);
 /// Parses bytes produced by Mux. Validates magic, version, and box sizes.
 StatusOr<Container> Demux(const std::vector<uint8_t>& bytes);
 
-/// Writes a muxed container to `path`.
+/// Writes a muxed container to `path` through a temporary file renamed over
+/// it, so concurrent writers of one path leave one complete container.
 Status WriteContainerFile(const Container& container, const std::string& path);
 
 /// Reads and demuxes a container from `path`.

@@ -120,7 +120,6 @@ ActiveDispatch& Dispatch() {
 
 struct KernelCounters {
   metrics::Counter* calls[kKernelCount] = {};
-  std::atomic<uint64_t> local[kKernelCount] = {};
 };
 
 KernelCounters& Counters() {
@@ -165,16 +164,12 @@ SimdLevel SetSimdLevelForTest(SimdLevel level) {
 
 void CountKernelCalls(Kernel kernel, uint64_t n) {
   if (kernel >= Kernel::kCount || n == 0) return;
-  KernelCounters& counters = Counters();
-  int index = static_cast<int>(kernel);
-  counters.calls[index]->Increment(static_cast<double>(n));
-  counters.local[index].fetch_add(n, std::memory_order_relaxed);
+  Counters().calls[static_cast<int>(kernel)]->Increment(static_cast<double>(n));
 }
 
 uint64_t KernelCallCount(Kernel kernel) {
   if (kernel >= Kernel::kCount) return 0;
-  return Counters().local[static_cast<int>(kernel)].load(
-      std::memory_order_relaxed);
+  return static_cast<uint64_t>(Counters().calls[static_cast<int>(kernel)]->Value());
 }
 
 }  // namespace visualroad::video::kernels

@@ -129,7 +129,7 @@ SimdLevel SetSimdLevelForTest(SimdLevel level);
 /// accounting stays off the per-pixel path.
 void CountKernelCalls(Kernel kernel, uint64_t n);
 
-/// Reads the accumulated call count for one kernel (test support).
+/// Reads one kernel's vr_kernel_calls_total counter (test support).
 uint64_t KernelCallCount(Kernel kernel);
 
 }  // namespace visualroad::video::kernels

@@ -21,35 +21,55 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
   for (float& b : bias_) b = static_cast<float>(rng.NextGaussian(0.0, 0.01));
 }
 
+int Conv2d::OutputSize(int input_size) const {
+  return (input_size + 2 * (kernel_ / 2) - kernel_) / stride_ + 1;
+}
+
 Tensor Conv2d::Forward(const Tensor& input) const {
-  int pad = kernel_ / 2;
-  int out_h = (input.height() + 2 * pad - kernel_) / stride_ + 1;
-  int out_w = (input.width() + 2 * pad - kernel_) / stride_ + 1;
+  const int pad = kernel_ / 2;
+  const int in_h = input.height(), in_w = input.width();
+  const int out_h = OutputSize(in_h), out_w = OutputSize(in_w);
   Tensor output(out_channels_, out_h, out_w);
 
+  // Tap column kx reads input column ox * stride + kx - pad, which is inside
+  // the input exactly for output columns [first_ox[kx], end_ox[kx]).
+  std::vector<int> first_ox(kernel_), end_ox(kernel_);
+  for (int kx = 0; kx < kernel_; ++kx) {
+    int offset = kx - pad;
+    first_ox[kx] = offset >= 0 ? 0 : (stride_ - 1 - offset) / stride_;
+    end_ox[kx] = in_w - offset <= 0 ? 0 : std::min(out_w, (in_w - 1 - offset) / stride_ + 1);
+  }
+
+  // One output row at a time: every output still sums bias + its in-bounds
+  // taps in (ic, ky, kx) order, so the result is bit-identical to a
+  // per-pixel loop, but the innermost loop runs along the row.
   for (int oc = 0; oc < out_channels_; ++oc) {
     for (int oy = 0; oy < out_h; ++oy) {
-      for (int ox = 0; ox < out_w; ++ox) {
-        float acc = bias_[oc];
-        int base_y = oy * stride_ - pad;
-        int base_x = ox * stride_ - pad;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          const float* in_channel = input.Channel(ic);
-          const float* w = &weights_[((static_cast<size_t>(oc) * in_channels_ + ic) *
-                                      kernel_) *
-                                     kernel_];
-          for (int ky = 0; ky < kernel_; ++ky) {
-            int iy = base_y + ky;
-            if (iy < 0 || iy >= input.height()) continue;
-            const float* row = in_channel + static_cast<size_t>(iy) * input.width();
-            for (int kx = 0; kx < kernel_; ++kx) {
-              int ix = base_x + kx;
-              if (ix < 0 || ix >= input.width()) continue;
-              acc += w[ky * kernel_ + kx] * row[ix];
+      float* acc = output.Channel(oc) + static_cast<size_t>(oy) * out_w;
+      std::fill(acc, acc + out_w, bias_[oc]);
+      for (int ic = 0; ic < in_channels_; ++ic) {
+        const float* in_channel = input.Channel(ic);
+        const float* w = &weights_[((static_cast<size_t>(oc) * in_channels_ + ic) *
+                                    kernel_) *
+                                   kernel_];
+        for (int ky = 0; ky < kernel_; ++ky) {
+          int iy = oy * stride_ - pad + ky;
+          if (iy < 0 || iy >= in_h) continue;
+          const float* row = in_channel + static_cast<size_t>(iy) * in_w;
+          for (int kx = 0; kx < kernel_; ++kx) {
+            const int first = first_ox[kx], end = end_ox[kx];
+            if (first >= end) continue;
+            const float tap = w[ky * kernel_ + kx];
+            const float* src = row + (first * stride_ + kx - pad);
+            if (stride_ == 1) {
+              for (int ox = first; ox < end; ++ox) acc[ox] += tap * src[ox - first];
+            } else {
+              for (int ox = first; ox < end; ++ox) {
+                acc[ox] += tap * src[(ox - first) * stride_];
+              }
             }
           }
         }
-        output.At(oc, oy, ox) = acc;
       }
     }
   }
@@ -57,9 +77,8 @@ Tensor Conv2d::Forward(const Tensor& input) const {
 }
 
 int64_t Conv2d::MacsFor(int height, int width) const {
-  int out_h = height / stride_, out_w = width / stride_;
   return static_cast<int64_t>(out_channels_) * in_channels_ * kernel_ * kernel_ *
-         out_h * out_w;
+         OutputSize(height) * OutputSize(width);
 }
 
 Tensor MaxPool2x2(const Tensor& input) {

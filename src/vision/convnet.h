@@ -10,7 +10,9 @@
 namespace visualroad::vision {
 
 /// A 3x3 (or 1x1) convolution layer with bias, optional stride, and
-/// zero padding, executed as a straightforward direct convolution.
+/// zero padding, executed as a direct convolution that accumulates one output
+/// row at a time (each output sums its taps in the same order as a per-pixel
+/// loop, so results do not depend on the loop structure).
 class Conv2d {
  public:
   /// Initialises He-style random weights from `seed` (deterministic).
@@ -20,6 +22,14 @@ class Conv2d {
 
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
+  int kernel() const { return kernel_; }
+  int stride() const { return stride_; }
+  /// Weights in [out][in][ky][kx] order, and one bias per output channel.
+  const std::vector<float>& weights() const { return weights_; }
+  const std::vector<float>& bias() const { return bias_; }
+  /// Output height (width) of a forward pass over an input of this height
+  /// (width): (size + 2 * (kernel / 2) - kernel) / stride + 1.
+  int OutputSize(int input_size) const;
   /// Multiply-accumulate operations per forward pass of an input of the
   /// given spatial size — used for FLOP accounting in benches.
   int64_t MacsFor(int height, int width) const;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 
 #include "common/random.h"
 #include "video/container/vrmp.h"
@@ -118,6 +120,45 @@ TEST(VrmpTest, FileRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->video.frames.size(), 6u);
   EXPECT_EQ(loaded->tracks.size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(VrmpTest, ConcurrentWritersLeaveOneCompleteFile) {
+  // Two writers of one path with containers of different lengths, and a
+  // reader that must never find a truncated or interleaved file there.
+  Container small, large;
+  small.video = MakeEncodedVideo(4, 58);
+  large.video = MakeEncodedVideo(12, 59);
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string name = "vrmp_concurrent_test.vrmp";
+  const std::string path = (dir / name).string();
+  ASSERT_TRUE(WriteContainerFile(small, path).ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int> unreadable{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      if (!ReadContainerFile(path).ok()) ++unreadable;
+    }
+  });
+  for (int round = 0; round < 100; ++round) {
+    std::thread a([&] { EXPECT_TRUE(WriteContainerFile(small, path).ok()); });
+    std::thread b([&] { EXPECT_TRUE(WriteContainerFile(large, path).ok()); });
+    a.join();
+    b.join();
+    auto loaded = ReadContainerFile(path);
+    EXPECT_TRUE(loaded.ok() && (loaded->video.frames.size() == 4u ||
+                                loaded->video.frames.size() == 12u))
+        << "round " << round;
+  }
+  stop = true;
+  reader.join();
+  EXPECT_EQ(unreadable.load(), 0);
+  int leftovers = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string file = entry.path().filename().string();
+    if (file != name && file.rfind(name, 0) == 0) ++leftovers;
+  }
+  EXPECT_EQ(leftovers, 0) << "temporary files left beside " << path;
   std::remove(path.c_str());
 }
 

@@ -383,41 +383,6 @@ TEST_F(QueriesTest, Q10ProducesClientResolution) {
   EXPECT_EQ(result->Height(), 48);
 }
 
-TEST_F(QueriesTest, Q8TrackingSegmentsAreOrderedAndConcatenated) {
-  // Pick the most-sighted plate so the query has content.
-  std::string plate;
-  int best = 0;
-  std::map<std::string, int> counts;
-  for (const sim::VideoAsset* asset : dataset_->TrafficAssets()) {
-    for (const sim::FrameGroundTruth& frame : asset->ground_truth) {
-      for (const sim::GroundTruthBox& box : frame.boxes) {
-        if (box.plate_visible && ++counts[box.plate] > best) {
-          best = counts[box.plate];
-          plate = box.plate;
-        }
-      }
-    }
-  }
-  if (plate.empty()) {
-    GTEST_SKIP() << "no plate sightings in this tiny dataset";
-  }
-  std::vector<TrackingSegment> segments;
-  auto result = TrackingQuery(Context(), plate, &segments);
-  ASSERT_TRUE(result.ok());
-  int64_t total_frames = 0;
-  for (const TrackingSegment& segment : segments) {
-    EXPECT_LE(segment.first_frame, segment.last_frame);
-    total_frames += segment.last_frame - segment.first_frame + 1;
-  }
-  EXPECT_EQ(result->FrameCount(), total_frames);
-}
-
-TEST_F(QueriesTest, Q8UnknownPlateYieldsEmptyVideo) {
-  auto result = TrackingQuery(Context(), "??????", nullptr);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->FrameCount(), 0);
-}
-
 /// Builds a synthetic one-video dataset in which a known plate is painted
 /// onto a "vehicle" region for a known frame range — a deterministic Q8
 /// scenario independent of simulation randomness.
@@ -466,6 +431,50 @@ sim::Dataset MakeSyntheticTrackingDataset(const std::string& plate,
   dataset.config.fps = 15;
   dataset.assets.push_back(std::move(asset));
   return dataset;
+}
+
+TEST_F(QueriesTest, Q8TrackingSegmentsAreOrderedAndConcatenated) {
+  // Two traffic videos show the plate, the second one earlier (frames 1-3)
+  // than the first (frames 6-9), so entry-time order is not video order.
+  sim::Dataset dataset = MakeSyntheticTrackingDataset("KR7W2P", 6, 9);
+  dataset.assets.push_back(
+      std::move(MakeSyntheticTrackingDataset("KR7W2P", 1, 3).assets.front()));
+  ReferenceContext context;
+  context.dataset = &dataset;
+  // Near-certain region proposals, as in TrackingDeterministicTest.
+  context.detector_options.base_recall = 0.999;
+  context.detector_options.box_jitter = 0.01;
+  std::vector<TrackingSegment> segments;
+  auto result = TrackingQuery(context, "KR7W2P", &segments);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].asset_index, 1);
+  EXPECT_EQ(segments[1].asset_index, 0);
+  EXPECT_LE(segments[0].first_frame, segments[1].first_frame);
+
+  // The output is the segments' frames, concatenated in segment order.
+  int64_t total_frames = 0;
+  size_t out_frame = 0;
+  for (const TrackingSegment& segment : segments) {
+    EXPECT_LE(segment.first_frame, segment.last_frame);
+    total_frames += segment.last_frame - segment.first_frame + 1;
+    auto source = video::codec::Decode(
+        dataset.assets[static_cast<size_t>(segment.asset_index)].container.video);
+    ASSERT_TRUE(source.ok());
+    for (int f = segment.first_frame; f <= segment.last_frame; ++f, ++out_frame) {
+      ASSERT_LT(out_frame, result->frames.size());
+      EXPECT_TRUE(result->frames[out_frame].SameContentAs(
+          source->frames[static_cast<size_t>(f)]))
+          << "output frame " << out_frame;
+    }
+  }
+  EXPECT_EQ(result->FrameCount(), total_frames);
+}
+
+TEST_F(QueriesTest, Q8UnknownPlateYieldsEmptyVideo) {
+  auto result = TrackingQuery(Context(), "??????", nullptr);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->FrameCount(), 0);
 }
 
 TEST(TrackingDeterministicTest, FindsThePaintedSegment) {

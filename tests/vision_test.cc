@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
+#include "common/random.h"
 #include "simulation/city.h"
 #include "simulation/render/scene_renderer.h"
 #include "video/color.h"
@@ -93,6 +99,129 @@ TEST(ConvTest, MacsAccounting) {
   EXPECT_EQ(conv.MacsFor(10, 10), static_cast<int64_t>(8) * 3 * 9 * 100);
 }
 
+TEST(ConvTest, MacsAccountingMatchesForwardAtOddSizeStrideTwo) {
+  Conv2d conv(3, 4, 3, 2, 1);
+  Tensor output = conv.Forward(Tensor(3, 31, 31));
+  ASSERT_EQ(output.height(), 16);
+  ASSERT_EQ(output.width(), 16);
+  EXPECT_EQ(conv.OutputSize(31), 16);
+  EXPECT_EQ(conv.MacsFor(31, 31), static_cast<int64_t>(4) * 3 * 9 * 16 * 16);
+}
+
+TEST(ConvTest, MacsAccountingMatchesForwardForEvenKernel) {
+  Conv2d conv(2, 3, 2, 1, 1);
+  Tensor output = conv.Forward(Tensor(2, 10, 9));
+  ASSERT_EQ(output.height(), 11);
+  ASSERT_EQ(output.width(), 10);
+  EXPECT_EQ(conv.MacsFor(10, 9), static_cast<int64_t>(3) * 2 * 4 * 11 * 10);
+}
+
+/// FNV-1a over the tensor's float bit patterns.
+uint64_t TensorDigest(const Tensor& tensor) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (float v : tensor.data()) {
+    uint32_t bits = std::bit_cast<uint32_t>(v);
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+void ExpectBitIdentical(const Tensor& actual, const Tensor& expected) {
+  ASSERT_EQ(actual.channels(), expected.channels());
+  ASSERT_EQ(actual.height(), expected.height());
+  ASSERT_EQ(actual.width(), expected.width());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(actual.data()[i]),
+              std::bit_cast<uint32_t>(expected.data()[i]))
+        << "element " << i << ": " << actual.data()[i] << " vs " << expected.data()[i];
+  }
+}
+
+/// The per-pixel direct convolution: the oracle for Conv2d::Forward, which
+/// must add the same terms in the same (ic, ky, kx) order for every output.
+Tensor NaiveConvForward(const Conv2d& conv, const Tensor& input) {
+  int kernel = conv.kernel(), stride = conv.stride(), pad = kernel / 2;
+  int out_h = (input.height() + 2 * pad - kernel) / stride + 1;
+  int out_w = (input.width() + 2 * pad - kernel) / stride + 1;
+  Tensor output(conv.out_channels(), out_h, out_w);
+  for (int oc = 0; oc < conv.out_channels(); ++oc) {
+    for (int oy = 0; oy < out_h; ++oy) {
+      for (int ox = 0; ox < out_w; ++ox) {
+        float acc = conv.bias()[static_cast<size_t>(oc)];
+        int base_y = oy * stride - pad;
+        int base_x = ox * stride - pad;
+        for (int ic = 0; ic < conv.in_channels(); ++ic) {
+          const float* in_channel = input.Channel(ic);
+          const float* w =
+              &conv.weights()[((static_cast<size_t>(oc) * conv.in_channels() + ic) *
+                               kernel) *
+                              kernel];
+          for (int ky = 0; ky < kernel; ++ky) {
+            int iy = base_y + ky;
+            if (iy < 0 || iy >= input.height()) continue;
+            const float* row = in_channel + static_cast<size_t>(iy) * input.width();
+            for (int kx = 0; kx < kernel; ++kx) {
+              int ix = base_x + kx;
+              if (ix < 0 || ix >= input.width()) continue;
+              acc += w[ky * kernel + kx] * row[ix];
+            }
+          }
+        }
+        output.At(oc, oy, ox) = acc;
+      }
+    }
+  }
+  return output;
+}
+
+struct ConvShape {
+  int in_channels, out_channels, kernel, stride, height, width;
+};
+
+void PrintTo(const ConvShape& s, std::ostream* os) {
+  *os << s.in_channels << "->" << s.out_channels << " k" << s.kernel << " s"
+      << s.stride << " " << s.height << "x" << s.width;
+}
+
+class ConvEquivalence : public ::testing::TestWithParam<ConvShape> {};
+
+TEST_P(ConvEquivalence, RowWiseMatchesNaive) {
+  const ConvShape& shape = GetParam();
+  Conv2d conv(shape.in_channels, shape.out_channels, shape.kernel, shape.stride,
+              static_cast<uint64_t>(shape.kernel * 10 + shape.stride));
+  Pcg32 rng(static_cast<uint64_t>(shape.height * 131 + shape.width));
+  for (int trial = 0; trial < 4; ++trial) {
+    Tensor input(shape.in_channels, shape.height, shape.width);
+    for (float& v : input.data()) {
+      // Trial 0 is all signed zeros; the others mix them into Gaussian noise.
+      uint32_t pick = trial == 0 ? rng.NextBounded(2) : rng.NextBounded(8);
+      v = pick == 0   ? 0.0f
+          : pick == 1 ? -0.0f
+                      : static_cast<float>(rng.NextGaussian());
+    }
+    ExpectBitIdentical(conv.Forward(input), NaiveConvForward(conv, input));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvEquivalence,
+    ::testing::Values(
+        // MiniYolo's layers at a 96x96 input.
+        ConvShape{3, 8, 3, 1, 96, 96}, ConvShape{8, 16, 3, 1, 48, 48},
+        ConvShape{16, 24, 3, 1, 24, 24}, ConvShape{24, 32, 3, 1, 12, 12},
+        ConvShape{32, 8, 1, 1, 12, 12},
+        // Stride 2, kernels 1/3/5, odd heights and widths.
+        ConvShape{3, 4, 3, 2, 31, 31}, ConvShape{2, 5, 3, 2, 17, 10},
+        ConvShape{3, 2, 1, 2, 15, 9}, ConvShape{2, 3, 5, 2, 9, 11},
+        ConvShape{4, 3, 5, 1, 13, 7}, ConvShape{2, 3, 1, 1, 7, 5},
+        // Inputs smaller than the kernel, and even kernels.
+        ConvShape{1, 2, 5, 1, 1, 3}, ConvShape{2, 2, 3, 1, 1, 1},
+        ConvShape{1, 3, 5, 2, 2, 2}, ConvShape{2, 3, 2, 1, 10, 9},
+        ConvShape{2, 3, 4, 2, 9, 8}));
+
 TEST(ConvnetTest, MaxPoolTakesMaxima) {
   Tensor input(1, 4, 4);
   for (int y = 0; y < 4; ++y) {
@@ -139,6 +268,16 @@ TEST(MiniYoloTest, ForwardProducesGridActivations) {
   EXPECT_EQ(grid.height(), 12);
   EXPECT_EQ(grid.width(), 12);
   EXPECT_GT(detector.MacsPerFrame(), 1000000);
+}
+
+TEST(MiniYoloTest, ForwardGridDigestIsStable) {
+  // Digests recorded with the per-pixel convolution loop: the row-wise loop
+  // must reproduce every activation bit for bit.
+  MiniYolo detector;
+  EXPECT_EQ(TensorDigest(detector.Forward(GradientFrame(96, 54))),
+            0x4b85670b1b1ff8afULL);
+  EXPECT_EQ(TensorDigest(detector.Forward(GradientFrame(96, 54, 40))),
+            0x38e29b18162da846ULL);
 }
 
 TEST(MiniYoloTest, DetectsClearlyVisibleObjects) {
@@ -537,6 +676,89 @@ TEST(StitcherTest, VideoStitchProcessesAllFrames) {
   ASSERT_TRUE(pano.ok());
   EXPECT_EQ(pano->FrameCount(), 3);
 }
+
+/// Bilinear luma/chroma sample with edge clamping (the oracle's sampler).
+video::Yuv NaiveSampleBilinear(const Frame& frame, double fx, double fy) {
+  fx = std::clamp(fx, 0.0, static_cast<double>(frame.width() - 1));
+  fy = std::clamp(fy, 0.0, static_cast<double>(frame.height() - 1));
+  int x0 = static_cast<int>(fx), y0 = static_cast<int>(fy);
+  int x1 = std::min(x0 + 1, frame.width() - 1);
+  int y1 = std::min(y0 + 1, frame.height() - 1);
+  double ax = fx - x0, ay = fy - y0;
+  auto blend = [&](auto get) -> uint8_t {
+    double v = get(x0, y0) * (1 - ax) * (1 - ay) + get(x1, y0) * ax * (1 - ay) +
+               get(x0, y1) * (1 - ax) * ay + get(x1, y1) * ax * ay;
+    return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
+  };
+  return {blend([&](int x, int y) { return frame.Y(x, y); }),
+          blend([&](int x, int y) { return frame.U(x, y); }),
+          blend([&](int x, int y) { return frame.V(x, y); })};
+}
+
+/// The per-pixel stitcher: trigonometry and focal length per pixel, and a
+/// full YUV sample written through SetPixel at every pixel. The oracle for
+/// StitchEquirect.
+Frame NaiveStitchEquirect(const std::array<const Frame*, 4>& faces,
+                          const std::array<sim::Camera, 4>& cameras, int out_width,
+                          int out_height, double forward_yaw) {
+  Frame out(out_width, out_height);
+  for (int y = 0; y < out_height; ++y) {
+    double lat = kPi / 2.0 - (y + 0.5) / out_height * kPi;
+    for (int x = 0; x < out_width; ++x) {
+      double lon = forward_yaw + (x + 0.5) / out_width * 2.0 * kPi - kPi;
+      Vec3 dir{std::cos(lat) * std::cos(lon), std::cos(lat) * std::sin(lon),
+               std::sin(lat)};
+      int best_face = 0;
+      double best_dot = -2.0;
+      for (int f = 0; f < 4; ++f) {
+        double d = dir.Dot(cameras[static_cast<size_t>(f)].forward());
+        if (d > best_dot) {
+          best_dot = d;
+          best_face = f;
+        }
+      }
+      const sim::Camera& camera = cameras[static_cast<size_t>(best_face)];
+      Vec3 cam{dir.Dot(camera.right()), dir.Dot(camera.up()),
+               dir.Dot(camera.forward())};
+      video::Yuv sample{0, 128, 128};
+      if (cam.z > 1e-6) {
+        double focal = camera.intrinsics().Focal();
+        double px = camera.intrinsics().width / 2.0 + focal * cam.x / cam.z;
+        double py = camera.intrinsics().height / 2.0 - focal * cam.y / cam.z;
+        sample = NaiveSampleBilinear(*faces[static_cast<size_t>(best_face)], px, py);
+      }
+      out.SetPixel(x, y, sample.y, sample.u, sample.v);
+    }
+  }
+  return out;
+}
+
+class StitcherEquivalence
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(StitcherEquivalence, HoistedMatchesNaive) {
+  auto [out_width, out_height] = GetParam();
+  sim::PanoramicRig rig;
+  rig.base_yaw = 0.4;
+  rig.face_intrinsics = {33, 27, 120.0};
+  auto cameras = rig.Faces();
+  std::array<Frame, 4> faces;
+  for (int f = 0; f < 4; ++f) faces[static_cast<size_t>(f)] = GradientFrame(33, 27, f * 50);
+  std::array<const Frame*, 4> face_ptrs{&faces[0], &faces[1], &faces[2], &faces[3]};
+  auto pano = StitchEquirect(face_ptrs, cameras, out_width, out_height, rig.base_yaw);
+  ASSERT_TRUE(pano.ok());
+  Frame expected =
+      NaiveStitchEquirect(face_ptrs, cameras, out_width, out_height, rig.base_yaw);
+  EXPECT_EQ(pano->y_plane(), expected.y_plane());
+  EXPECT_EQ(pano->u_plane(), expected.u_plane());
+  EXPECT_EQ(pano->v_plane(), expected.v_plane());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OutputSizes, StitcherEquivalence,
+    ::testing::Values(std::pair{96, 48}, std::pair{95, 47}, std::pair{96, 47},
+                      std::pair{95, 48}, std::pair{1, 1}, std::pair{3, 1},
+                      std::pair{2, 3}, std::pair{480, 240}));
 
 // --- Tiling ---
 
