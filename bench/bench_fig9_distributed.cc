@@ -210,10 +210,10 @@ int Run(bool simulate, const char* fault_profile) {
     point.wall_seconds = wall;
     point.busy_seconds = stats.worker_busy_seconds;
     for (size_t i = 0; i < outcomes->size(); ++i) {
-      const dist::DistInstanceOutcome& outcome = (*outcomes)[i];
-      if (outcome.state != dist::DistInstanceOutcome::kSucceeded) {
+      const systems::InstanceOutcome& outcome = (*outcomes)[i];
+      if (!outcome.succeeded()) {
         std::fprintf(stderr, "instance %zu failed: %s\n", i,
-                     outcome.error.c_str());
+                     outcome.status.ToString().c_str());
         return 1;
       }
       video::container::Container container;
@@ -312,12 +312,10 @@ int Run(bool simulate, const char* fault_profile) {
         return 1;
       }
       for (size_t i = 0; i < outcomes->size(); ++i) {
-        const dist::DistInstanceOutcome& outcome = (*outcomes)[i];
+        const systems::InstanceOutcome& outcome = (*outcomes)[i];
         video::container::Container container;
-        if (outcome.state == dist::DistInstanceOutcome::kSucceeded) {
-          container.video = outcome.output.video;
-        }
-        if (outcome.state != dist::DistInstanceOutcome::kSucceeded ||
+        container.video = outcome.output.video;
+        if (!outcome.succeeded() ||
             video::container::Mux(container) != direct_bytes[i]) {
           setup_point.staged_byte_identical = false;
         }
@@ -379,12 +377,10 @@ int Run(bool simulate, const char* fault_profile) {
         return false;
       }
       for (size_t i = 0; i < outcomes->size(); ++i) {
-        const dist::DistInstanceOutcome& outcome = (*outcomes)[i];
+        const systems::InstanceOutcome& outcome = (*outcomes)[i];
         video::container::Container container;
-        if (outcome.state == dist::DistInstanceOutcome::kSucceeded) {
-          container.video = outcome.output.video;
-        }
-        if (outcome.state != dist::DistInstanceOutcome::kSucceeded ||
+        container.video = outcome.output.video;
+        if (!outcome.succeeded() ||
             video::container::Mux(container) != direct_bytes[i]) {
           warm_point.byte_identical = false;
         }
@@ -505,12 +501,10 @@ int Run(bool simulate, const char* fault_profile) {
       faulted.completed = true;
       faulted.byte_identical = true;
       for (size_t i = 0; i < outcomes->size(); ++i) {
-        const dist::DistInstanceOutcome& outcome = (*outcomes)[i];
+        const systems::InstanceOutcome& outcome = (*outcomes)[i];
         video::container::Container container;
-        if (outcome.state == dist::DistInstanceOutcome::kSucceeded) {
-          container.video = outcome.output.video;
-        }
-        if (outcome.state != dist::DistInstanceOutcome::kSucceeded ||
+        container.video = outcome.output.video;
+        if (!outcome.succeeded() ||
             video::container::Mux(container) != direct_bytes[i]) {
           faulted.byte_identical = false;
         }

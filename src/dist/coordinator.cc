@@ -99,7 +99,7 @@ struct BatchState {
   int in_flight = 0;
   int remaining = 0;
   std::vector<char> done;
-  std::vector<DistInstanceOutcome> results;
+  std::vector<systems::InstanceOutcome> results;
   DistBatchStats stats;
 };
 
@@ -127,6 +127,15 @@ int NonNegativeMod(int value, int modulus) {
 
 bool MayTakeChunk(int avoid, int worker, int other_live_workers) {
   return avoid != worker || other_live_workers == 0;
+}
+
+bool AnswersRequest(const std::vector<RangeOutcome>& results,
+                    const std::vector<RangeItem>& items) {
+  if (results.size() != items.size()) return false;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].index != items[i].index) return false;
+  }
+  return true;
 }
 
 }  // namespace internal
@@ -338,7 +347,7 @@ void Coordinator::PreSeedCaches(DistBatchStats* stats) {
   }
 }
 
-StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
+StatusOr<std::vector<systems::InstanceOutcome>> Coordinator::ExecuteBatch(
     const std::vector<queries::QueryInstance>& batch, systems::OutputMode mode,
     const std::string& output_dir, DistBatchStats* stats_out) {
   if (!started_) return Status::FailedPrecondition("coordinator not started");
@@ -555,9 +564,11 @@ StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
         return;
       }
 
-      StatusOr<std::vector<InstanceResult>> decoded =
+      // A response must answer the chunk it was sent for, item by item; one
+      // that does not is a protocol fault, handled like a dead worker.
+      StatusOr<std::vector<RangeOutcome>> decoded =
           DecodeExecuteResponse(response_bytes);
-      if (!decoded.ok()) {
+      if (!decoded.ok() || !internal::AnswersRequest(*decoded, chunk.items)) {
         fail_slot(w, std::move(chunk));
         account_retries();
         return;
@@ -567,24 +578,12 @@ StatusOr<std::vector<DistInstanceOutcome>> Coordinator::ExecuteBatch(
         // Merge: first writer wins per instance (a straggler's chunk may
         // complete twice, once per dispatch).
         std::lock_guard<std::mutex> lock(state.mutex);
-        for (InstanceResult& result : *decoded) {
-          if (result.index < 0 ||
-              result.index >= static_cast<int>(state.done.size()) ||
-              state.done[result.index]) {
-            continue;
-          }
+        for (RangeOutcome& result : *decoded) {
+          if (state.done[result.index]) continue;
           state.done[result.index] = 1;
           --state.remaining;
-          DistInstanceOutcome& outcome = state.results[result.index];
-          outcome.state =
-              static_cast<DistInstanceOutcome::State>(result.outcome);
-          outcome.resource_exhausted = result.resource_exhausted;
-          outcome.error = std::move(result.error);
-          outcome.stats = result.stats;
-          outcome.exec_seconds = result.exec_seconds;
-          outcome.worker = w;
-          outcome.output = std::move(result.output);
-          state.stats.worker_busy_seconds += result.exec_seconds;
+          state.stats.worker_busy_seconds += result.outcome.exec_seconds;
+          state.results[result.index] = std::move(result.outcome);
           metrics.instances_executed.Increment();
         }
         --state.in_flight;

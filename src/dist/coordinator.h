@@ -62,21 +62,6 @@ struct CoordinatorOptions {
   int chunk_size = 0;
 };
 
-/// The merged outcome of one batch instance, mirroring the driver's
-/// three-way success/unsupported/failed split plus distributed provenance.
-struct DistInstanceOutcome {
-  enum State : uint8_t { kSucceeded = 0, kUnsupported = 1, kFailed = 2 };
-  State state = kFailed;
-  bool resource_exhausted = false;
-  std::string error;
-  systems::EngineStats stats;
-  /// Worker-measured execution seconds (excludes queueing and transport).
-  double exec_seconds = 0.0;
-  /// Index of the worker that produced the accepted result.
-  int worker = -1;
-  systems::QueryOutput output;
-};
-
 /// Dispatch accounting for one ExecuteBatch call.
 struct DistBatchStats {
   int64_t chunks_dispatched = 0;
@@ -129,7 +114,7 @@ class Coordinator {
   /// batch order. Per-instance failures are reported in the outcome, not as
   /// an overall error; the call itself fails only when work cannot complete
   /// at all (every worker lost with instances still pending).
-  StatusOr<std::vector<DistInstanceOutcome>> ExecuteBatch(
+  StatusOr<std::vector<systems::InstanceOutcome>> ExecuteBatch(
       const std::vector<queries::QueryInstance>& batch,
       systems::OutputMode mode, const std::string& output_dir,
       DistBatchStats* stats = nullptr);
@@ -182,6 +167,11 @@ int NonNegativeMod(int value, int modulus);
 /// only as a last resort — otherwise the re-dispatch would land on the very
 /// worker that is still busy executing the old request.
 bool MayTakeChunk(int avoid, int worker, int other_live_workers);
+
+/// Whether an ExecuteRange response answers the request it was sent for:
+/// one outcome per item, carrying the items' batch indices in item order.
+bool AnswersRequest(const std::vector<RangeOutcome>& results,
+                    const std::vector<RangeItem>& items);
 }  // namespace internal
 
 }  // namespace visualroad::dist

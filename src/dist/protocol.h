@@ -72,24 +72,16 @@ std::vector<uint8_t> EncodeExecuteRequest(const ExecuteRangeRequest& request);
 StatusOr<ExecuteRangeRequest> DecodeExecuteRequest(
     const std::vector<uint8_t>& bytes);
 
-/// Per-instance outcome shipped back from a worker. `outcome` mirrors the
-/// driver's three-way split.
-struct InstanceResult {
+/// One ExecuteRange response entry: the outcome of the request item with
+/// batch index `index`. Entries answer the request's items in order.
+struct RangeOutcome {
   int index = 0;
-  enum Outcome : uint8_t { kSucceeded = 0, kUnsupported = 1, kFailed = 2 };
-  uint8_t outcome = kSucceeded;
-  bool resource_exhausted = false;
-  std::string error;
-  systems::EngineStats stats;
-  /// Worker-measured execution seconds for this instance; feeds the
-  /// distributed bench's cluster-makespan accounting.
-  double exec_seconds = 0.0;
-  systems::QueryOutput output;
+  systems::InstanceOutcome outcome;
 };
 
 std::vector<uint8_t> EncodeExecuteResponse(
-    const std::vector<InstanceResult>& results);
-StatusOr<std::vector<InstanceResult>> DecodeExecuteResponse(
+    const std::vector<RangeOutcome>& results);
+StatusOr<std::vector<RangeOutcome>> DecodeExecuteResponse(
     const std::vector<uint8_t>& bytes);
 
 /// Stats RPC response: cumulative engine counters plus instances executed.

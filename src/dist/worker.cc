@@ -11,7 +11,6 @@
 
 #include "common/metrics.h"
 #include "common/serialize.h"
-#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "queries/semantic_cache.h"
 #include "storage/sharded_store.h"
@@ -141,29 +140,14 @@ StatusOr<std::vector<uint8_t>> HandleExecuteRange(
     const std::vector<uint8_t>& payload, WorkerState& state) {
   VR_ASSIGN_OR_RETURN(ExecuteRangeRequest request,
                       DecodeExecuteRequest(payload));
-  std::vector<InstanceResult> results;
+  std::vector<RangeOutcome> results;
   results.reserve(request.items.size());
   for (const RangeItem& item : request.items) {
-    InstanceResult result;
-    result.index = item.index;
-    Stopwatch stopwatch;
-    StatusOr<systems::QueryOutput> output =
-        state.engine->Execute(item.instance, state.dataset, request.mode,
-                              request.output_dir, &result.stats);
-    result.exec_seconds = stopwatch.ElapsedSeconds();
+    results.push_back(RangeOutcome{
+        item.index, systems::ExecuteInstance(*state.engine, item.instance,
+                                             state.dataset, request.mode,
+                                             request.output_dir)});
     ++state.instances_executed;
-    if (output.ok()) {
-      result.outcome = InstanceResult::kSucceeded;
-      result.output = std::move(output).value();
-    } else if (output.status().code() == StatusCode::kUnimplemented) {
-      result.outcome = InstanceResult::kUnsupported;
-    } else {
-      result.outcome = InstanceResult::kFailed;
-      result.resource_exhausted =
-          output.status().code() == StatusCode::kResourceExhausted;
-      result.error = output.status().ToString();
-    }
-    results.push_back(std::move(result));
   }
   return EncodeExecuteResponse(results);
 }

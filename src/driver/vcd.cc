@@ -229,71 +229,43 @@ StatusOr<QueryBatchResult> VisualCityDriver::RunQueryBatch(systems::Vdbms& engin
   }
 
   // Per-instance outcome slots, aggregated in index order after the measured
-  // window so parallel execution reports exactly what serial execution
+  // window so a parallel window reports exactly what a one-task window
   // would.
-  struct InstanceOutcome {
-    bool succeeded = false;
-    bool unsupported = false;
-    bool failed = false;
-    bool resource_exhausted = false;
-    std::string error;
-    int64_t frames_degraded = 0;
-    int64_t retries = 0;
-    systems::EngineStats engine_stats;
-  };
-  std::vector<InstanceOutcome> outcomes(batch.size());
-  std::vector<systems::QueryOutput> outputs(batch.size());
+  std::vector<systems::InstanceOutcome> outcomes(batch.size());
 
   auto run_one = [&](int i) {
-    size_t index = static_cast<size_t>(i);
-    // Robustness accounting is thread-scoped: every degrade/retry site runs
-    // on the thread that performs the read, and this whole body runs on one
-    // thread, so bracketing it counts each event exactly once for exactly
-    // this instance — even with other batches live on the same services.
-    const int64_t retries_before = fault::ThreadRetries();
-    const int64_t degraded_before = fault::ThreadDegraded();
+    const QueryInstance& instance = batch[static_cast<size_t>(i)];
+    int64_t ingest_degraded = 0;
     if (options_.execution_mode == systems::ExecutionMode::kOnline) {
       // Online processing (Section 3.2): data arrives through a throttled
       // forward-only feed at the camera's capture rate. The engine cannot
       // start ahead of the data, so the ingest gate is part of the measured
-      // runtime. Freeze-frame concealments surface through the thread-scoped
-      // degraded counter.
+      // runtime. Freeze-frame concealments count as degraded frames.
       std::vector<const sim::VideoAsset*> traffic = dataset_->TrafficAssets();
-      if (batch[index].video_index >= 0 &&
-          static_cast<size_t>(batch[index].video_index) < traffic.size()) {
+      if (instance.video_index >= 0 &&
+          static_cast<size_t>(instance.video_index) < traffic.size()) {
         systems::VideoSource source = systems::VideoSource::Online(
-            &traffic[static_cast<size_t>(batch[index].video_index)]
-                 ->container.video,
+            &traffic[static_cast<size_t>(instance.video_index)]->container.video,
             options_.online_rate_multiplier, options_.faults);
         while (!source.AtEnd()) {
           if (!source.Next().ok()) break;
         }
+        ingest_degraded = source.frames_degraded();
       }
     }
-    StatusOr<systems::QueryOutput> output =
-        engine.Execute(batch[index], *dataset_, options_.output_mode,
-                       options_.output_dir, &outcomes[index].engine_stats);
-    outcomes[index].retries = fault::ThreadRetries() - retries_before;
-    outcomes[index].frames_degraded = fault::ThreadDegraded() - degraded_before;
-    if (output.ok()) {
-      outputs[index] = std::move(output).value();
-      outcomes[index].succeeded = true;
-    } else if (output.status().code() == StatusCode::kUnimplemented) {
-      outcomes[index].unsupported = true;
-    } else {
-      outcomes[index].failed = true;
-      outcomes[index].resource_exhausted =
-          output.status().code() == StatusCode::kResourceExhausted;
-      outcomes[index].error = output.status().ToString();
-    }
+    systems::InstanceOutcome& outcome = outcomes[static_cast<size_t>(i)];
+    outcome = systems::ExecuteInstance(engine, instance, *dataset_,
+                                       options_.output_mode, options_.output_dir);
+    outcome.frames_degraded += ingest_degraded;
     return Status::Ok();
   };
 
   // Instance-level parallelism is opt-in, offline-only (online ingest
   // throttling is part of the measured semantics), and gated on the engine
-  // declaring Execute() thread-safe.
-  int pool_threads =
-      std::min(options_.parallel_instances, static_cast<int>(batch.size()));
+  // declaring Execute() thread-safe. Otherwise the window is one pool task
+  // that runs the instances in index order.
+  const int count = static_cast<int>(batch.size());
+  int pool_threads = std::min(options_.parallel_instances, count);
   bool parallel_execute = pool_threads > 1 &&
                           options_.execution_mode ==
                               systems::ExecutionMode::kOffline &&
@@ -312,6 +284,10 @@ StatusOr<QueryBatchResult> VisualCityDriver::RunQueryBatch(systems::Vdbms& engin
     result.workers = options_.workers;
   }
 
+  // The driver-lifetime pool runs local windows and every batch's
+  // validation. Getting it before the stopwatch keeps its one-time thread
+  // startup out of the measured window.
+  ThreadPool& pool = EnsurePool();
   int64_t dist_rpc_retries = 0;
   Stopwatch stopwatch;
   {
@@ -322,51 +298,24 @@ StatusOr<QueryBatchResult> VisualCityDriver::RunQueryBatch(systems::Vdbms& engin
     trace::Span batch_span(std::string("vcd:") + queries::QueryName(id));
     if (options_.workers > 0) {
       dist::DistBatchStats dist_stats;
-      VR_ASSIGN_OR_RETURN(
-          std::vector<dist::DistInstanceOutcome> dist_outcomes,
-          cluster_->ExecuteBatch(batch, options_.output_mode,
-                                 options_.output_dir, &dist_stats));
-      for (size_t i = 0; i < dist_outcomes.size() && i < batch.size(); ++i) {
-        dist::DistInstanceOutcome& from = dist_outcomes[i];
-        InstanceOutcome& to = outcomes[i];
-        switch (from.state) {
-          case dist::DistInstanceOutcome::kSucceeded:
-            to.succeeded = true;
-            outputs[i] = std::move(from.output);
-            break;
-          case dist::DistInstanceOutcome::kUnsupported:
-            to.unsupported = true;
-            break;
-          case dist::DistInstanceOutcome::kFailed:
-            to.failed = true;
-            to.resource_exhausted = from.resource_exhausted;
-            to.error = std::move(from.error);
-            break;
-        }
-        to.engine_stats = from.stats;
-      }
+      VR_ASSIGN_OR_RETURN(outcomes,
+                          cluster_->ExecuteBatch(batch, options_.output_mode,
+                                                 options_.output_dir, &dist_stats));
       dist_rpc_retries = dist_stats.rpc_retries;
       result.worker_busy_seconds = dist_stats.worker_busy_seconds;
-    } else if (parallel_execute) {
-      // The driver-lifetime pool: per-batch pool churn put worker startup
-      // and teardown inside the measured window. PoolStats still reports
-      // this batch's movement only, via the snapshot delta.
-      ThreadPool& pool = EnsurePool();
+    } else {
+      // PoolStats reports this batch's movement only, via the snapshot delta.
       pool.ResetQueuePeak();
       const PoolStats pool_before = pool.stats();
-      VR_RETURN_IF_ERROR(pool.ParallelForStatus(static_cast<int>(batch.size()),
-                                                run_one, /*grain=*/1));
+      VR_RETURN_IF_ERROR(pool.ParallelForStatus(
+          count, run_one, parallel_execute ? 1 : count));
       // ParallelForStatus returns on the last chunk's completion signal,
       // which fires inside the task body — the worker's tasks_executed /
       // busy_seconds bookkeeping lands just after. Quiesce before the
       // after-snapshot so the window delta covers every task it submitted.
       (void)pool.Wait();
-      result.parallel_instances = pool_threads;
+      result.parallel_instances = parallel_execute ? pool_threads : 1;
       result.pool_stats = PoolStatsDelta(pool.stats(), pool_before);
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        VR_RETURN_IF_ERROR(run_one(static_cast<int>(i)));
-      }
     }
   }
   result.total_seconds = stopwatch.ElapsedSeconds();
@@ -381,22 +330,22 @@ StatusOr<QueryBatchResult> VisualCityDriver::RunQueryBatch(systems::Vdbms& engin
   int64_t attempted_frames = 0;
   int64_t succeeded_frames = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
-    const InstanceOutcome& outcome = outcomes[i];
+    const systems::InstanceOutcome& outcome = outcomes[i];
     result.frames_degraded += outcome.frames_degraded;
     result.retries += outcome.retries;
     result.engine_stats.Add(outcome.engine_stats);
-    if (outcome.succeeded) {
+    if (outcome.succeeded()) {
       ++result.succeeded;
       int64_t frames = InputFrames(batch[i]);
       attempted_frames += frames;
       succeeded_frames += frames;
-    } else if (outcome.unsupported) {
+    } else if (outcome.unsupported()) {
       ++result.unsupported;
-    } else if (outcome.failed) {
+    } else {
       ++result.failed;
       attempted_frames += InputFrames(batch[i]);
-      if (outcome.resource_exhausted) ++result.resource_exhausted;
-      if (result.first_error.empty()) result.first_error = outcome.error;
+      if (outcome.resource_exhausted()) ++result.resource_exhausted;
+      if (result.first_error.empty()) result.first_error = outcome.status.ToString();
     }
   }
   result.attempted_frames = attempted_frames;
@@ -423,31 +372,21 @@ StatusOr<QueryBatchResult> VisualCityDriver::RunQueryBatch(systems::Vdbms& engin
   if (options_.validate && options_.output_mode == systems::OutputMode::kWrite) {
     trace::Span validate_span(std::string("validate:") + queries::QueryName(id));
     Stopwatch validate_watch;
-    auto needs_validation = [&](size_t i) {
-      return outputs[i].produced || !outputs[i].detections.empty();
-    };
-    if (pool_threads > 1) {
-      std::vector<ValidationStats> per_instance(batch.size());
-      // Same driver-lifetime pool as the measured window; the batch's
-      // pool_stats delta was taken before validation, so validation tasks
-      // never leak into the measured counters.
-      ThreadPool& pool = EnsurePool();
-      VR_RETURN_IF_ERROR(pool.ParallelForStatus(
-          static_cast<int>(batch.size()),
-          [&](int i) {
-            size_t index = static_cast<size_t>(i);
-            if (!needs_validation(index)) return Status::Ok();
-            return Validate(batch[index], outputs[index], per_instance[index]);
-          },
-          /*grain=*/1));
-      for (const ValidationStats& stats : per_instance) {
-        result.validation.Merge(stats);
-      }
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!needs_validation(i)) continue;
-        VR_RETURN_IF_ERROR(Validate(batch[i], outputs[i], result.validation));
-      }
+    std::vector<ValidationStats> per_instance(batch.size());
+    // Same driver-lifetime pool as the measured window; the batch's
+    // pool_stats delta was taken before validation, so validation tasks
+    // never leak into the measured counters.
+    VR_RETURN_IF_ERROR(pool.ParallelForStatus(
+        count,
+        [&](int i) {
+          size_t index = static_cast<size_t>(i);
+          const systems::QueryOutput& output = outcomes[index].output;
+          if (!output.produced && output.detections.empty()) return Status::Ok();
+          return Validate(batch[index], output, per_instance[index]);
+        },
+        pool_threads > 1 ? 1 : count));
+    for (const ValidationStats& stats : per_instance) {
+      result.validation.Merge(stats);
     }
     DriverMetrics::Get().validation_seconds.Increment(
         validate_watch.ElapsedSeconds());

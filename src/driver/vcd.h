@@ -45,13 +45,15 @@ struct VcdOptions {
   uint64_t seed = 0x5EED;
   /// Override for the per-query batch size; 0 uses the benchmark's 4L rule.
   int batch_size_override = 0;
-  /// Opt-in instance-level parallelism. When > 1, offline batch instances
-  /// are submitted to the engine concurrently from this many driver threads
-  /// — but only if the engine reports ConcurrentSafe(); otherwise execution
-  /// stays serial. Online mode always stays serial: the throttled
-  /// forward-only feed is part of the measured semantics. The
-  /// post-measurement validation loop (pure reference computation) is
-  /// parallelised whenever this is > 1, independent of the engine.
+  /// Opt-in instance-level parallelism: the width of the driver's pool,
+  /// which runs every local measured window. When > 1, offline batch
+  /// instances are submitted to the engine concurrently from this many
+  /// threads — but only if the engine reports ConcurrentSafe(); otherwise
+  /// the window is one pool task that runs the instances in index order.
+  /// Online mode is always one task: the throttled forward-only feed is
+  /// part of the measured semantics. The post-measurement validation
+  /// (pure reference computation) is parallelised whenever this is > 1,
+  /// independent of the engine.
   int parallel_instances = 1;
   queries::SamplerOptions sampler;
   /// Reference detector configuration used when computing reference results.
@@ -139,9 +141,10 @@ struct QueryBatchResult {
   /// First error message, when failures occurred (lowest instance index, so
   /// the report is deterministic under parallel execution).
   std::string first_error;
-  /// Driver threads that executed the measured window (1 = serial).
+  /// Driver threads that executed the measured window (1 = one pool task
+  /// running the instances in index order).
   int parallel_instances = 1;
-  /// Executor counters for the measured window when it ran in parallel.
+  /// Driver-pool counters for the measured window (every local batch).
   PoolStats pool_stats;
   /// Engine counter deltas over the measured window (decode cache hit/miss,
   /// frames decoded/encoded); see EngineStats.
@@ -233,9 +236,9 @@ class VisualCityDriver {
   /// Input frames a query instance consumes (for the FPS metric).
   int64_t InputFrames(const queries::QueryInstance& instance) const;
 
-  /// The driver-lifetime executor for parallel measured windows and
+  /// The driver-lifetime executor for every local measured window and for
   /// validation, created on first use with options().parallel_instances
-  /// workers. One pool for the driver's whole life — constructing a fresh
+  /// workers (at least one). One pool for the driver's whole life — constructing a fresh
   /// pool per batch paid thread startup inside the measured window and made
   /// PoolStats lifetime-equal-batch by accident rather than by contract.
   ThreadPool& EnsurePool();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/fault.h"
 #include "common/trace.h"
 
 namespace visualroad::server {
@@ -182,28 +181,9 @@ void QueryServer::PumpLocked() {
 
 void QueryServer::RunQuery(std::shared_ptr<Batch> batch, size_t index) {
   const queries::QueryInstance& instance = batch->instances[index];
-  ServedQuery& served = batch->result.queries[index];
   trace::Span span(std::string("server:") + queries::QueryName(instance.id));
-  if (!engine_->Supports(instance.id)) {
-    served.status = Status::Unimplemented(
-        std::string(engine_->name()) + " does not support " +
-        queries::QueryName(instance.id));
-  } else {
-    // Thread-scoped fault accounting brackets exactly this call, on this
-    // worker thread — the same exactly-once attribution the VCD uses.
-    const int64_t retries_before = fault::ThreadRetries();
-    const int64_t degraded_before = fault::ThreadDegraded();
-    StatusOr<systems::QueryOutput> output =
-        engine_->Execute(instance, *dataset_, options_.output_mode,
-                         options_.output_dir, &served.engine_stats);
-    served.retries = fault::ThreadRetries() - retries_before;
-    served.frames_degraded = fault::ThreadDegraded() - degraded_before;
-    if (output.ok()) {
-      served.output = std::move(output).value();
-    } else {
-      served.status = output.status();
-    }
-  }
+  batch->result.queries[index] = systems::ExecuteInstance(
+      *engine_, instance, *dataset_, options_.output_mode, options_.output_dir);
   OnQueryDone(std::move(batch), index);
 }
 
@@ -221,9 +201,9 @@ void QueryServer::OnQueryDone(std::shared_ptr<Batch> batch, size_t index) {
       finished = true;
       ServedBatch& result = batch->result;
       for (const ServedQuery& q : result.queries) {
-        if (q.status.ok()) {
+        if (q.succeeded()) {
           ++result.succeeded;
-        } else if (q.status.code() == StatusCode::kUnimplemented) {
+        } else if (q.unsupported()) {
           ++result.unsupported;
         } else {
           ++result.failed;

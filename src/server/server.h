@@ -38,17 +38,9 @@ struct ServerOptions {
   std::string output_dir;
 };
 
-/// Outcome of one served query instance.
-struct ServedQuery {
-  Status status = Status::Ok();
-  systems::QueryOutput output;
-  /// Engine counter movement of exactly this call (per-call window, correct
-  /// under concurrent Execute calls).
-  systems::EngineStats engine_stats;
-  /// Thread-scoped fault accounting over this call (exactly-once).
-  int64_t frames_degraded = 0;
-  int64_t retries = 0;
-};
+/// Outcome of one served query instance: the same type the VCD and the
+/// distributed workers produce.
+using ServedQuery = systems::InstanceOutcome;
 
 /// Outcome of one served batch, fulfilled through the future Submit returns.
 struct ServedBatch {

@@ -160,10 +160,10 @@ StatusOr<ServingReport> RunOpenLoop(QueryServer& server, const sim::Dataset& dat
     report.unsupported_queries += batch.unsupported;
     for (size_t i = 0; i < batch.queries.size(); ++i) {
       const ServedQuery& query = batch.queries[i];
-      if (query.status.ok()) {
+      if (query.succeeded()) {
         report.attempted_frames += entry.input_frames[i];
         report.succeeded_frames += entry.input_frames[i];
-      } else if (query.status.code() != StatusCode::kUnimplemented) {
+      } else if (query.failed()) {
         report.attempted_frames += entry.input_frames[i];
       }
     }

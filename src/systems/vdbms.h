@@ -121,6 +121,31 @@ struct EngineStats {
   }
 };
 
+/// The outcome of executing one query instance, shared by the VCD, the query
+/// server and distributed workers (which ship it over the wire). The kind of
+/// outcome is read from `status`: Ok succeeded, kUnimplemented means the
+/// engine declined the query, anything else failed.
+struct InstanceOutcome {
+  Status status = Status::Ok();
+  QueryOutput output;
+  /// Engine counter movement of exactly this call (per-call window, correct
+  /// under concurrent Execute calls).
+  EngineStats engine_stats;
+  /// Thread-scoped fault accounting over this call (exactly-once).
+  int64_t frames_degraded = 0;
+  int64_t retries = 0;
+  /// Wall-clock seconds inside Execute (excludes queueing and transport).
+  double exec_seconds = 0.0;
+
+  bool succeeded() const { return status.ok(); }
+  bool unsupported() const { return status.code() == StatusCode::kUnimplemented; }
+  bool failed() const { return !succeeded() && !unsupported(); }
+  /// A failure from memory exhaustion (the paper's N/A, e.g. Scanner on Q4).
+  bool resource_exhausted() const {
+    return status.code() == StatusCode::kResourceExhausted;
+  }
+};
+
 /// The architecture-agnostic interface every benchmarked VDBMS implements
 /// (the paper expresses each query in a system-agnostic way; this interface
 /// is this repository's equivalent contract).
@@ -135,9 +160,9 @@ class Vdbms {
   virtual bool Supports(queries::QueryId id) const = 0;
 
   /// Whether Execute() may be called concurrently from multiple threads.
-  /// The VCD's parallel batch mode only fans instances out to engines that
+  /// The VCD and the query server only overlap instances on engines that
   /// opt in; stateful engines (caches keyed on shared maps, running
-  /// counters without synchronisation) stay on the serial path.
+  /// counters without synchronisation) run one instance at a time.
   virtual bool ConcurrentSafe() const { return false; }
 
   /// Executes one query instance against the dataset. In write mode the
@@ -181,6 +206,15 @@ class Vdbms {
 std::unique_ptr<Vdbms> MakeBatchEngine(const EngineOptions& options);
 std::unique_ptr<Vdbms> MakePipelineEngine(const EngineOptions& options);
 std::unique_ptr<Vdbms> MakeCascadeEngine(const EngineOptions& options);
+
+/// Executes one query instance on `engine`: declines it as unsupported when
+/// the engine cannot express the query, else times Execute and attributes
+/// the thread-scoped retry and degraded-frame counters to this call. Every
+/// execution path (driver, query server, distributed worker) runs instances
+/// through here, so the same instance yields the same outcome on each.
+InstanceOutcome ExecuteInstance(Vdbms& engine, const queries::QueryInstance& instance,
+                                const sim::Dataset& dataset, OutputMode mode,
+                                const std::string& output_dir);
 
 /// Shared helpers for engine implementations.
 namespace detail {

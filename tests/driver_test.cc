@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "driver/datasets.h"
 #include "driver/report.h"
@@ -423,6 +425,69 @@ TEST_F(DriverTest, ParallelRequestFallsBackForUnsafeEngine) {
   // ran serially even though the driver was configured for parallelism.
   EXPECT_EQ(result->parallel_instances, 1);
   EXPECT_EQ(result->succeeded, 2);
+}
+
+// Records the order of Execute calls and the most calls ever in flight.
+class OrderRecordingEngine : public systems::Vdbms {
+ public:
+  const char* name() const override { return "OrderRecordingEngine"; }
+  bool Supports(QueryId) const override { return true; }
+  systems::EngineStats stats() const override { return {}; }
+  StatusOr<systems::QueryOutput> Execute(
+      const queries::QueryInstance& instance, const sim::Dataset&,
+      systems::OutputMode, const std::string&,
+      systems::EngineStats* call_stats = nullptr) override {
+    int now = ++in_flight_;
+    int peak = peak_.load();
+    while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      order_.push_back(instance.q1_t1);
+    }
+    --in_flight_;
+    if (call_stats != nullptr) *call_stats = {};
+    return systems::QueryOutput{};
+  }
+  std::vector<double> order() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return order_;
+  }
+  int peak() const { return peak_.load(); }
+
+ private:
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_{0};
+  mutable std::mutex mutex_;
+  std::vector<double> order_;
+};
+
+TEST_F(DriverTest, UnsafeEngineWindowIsOnePoolTaskInIndexOrder) {
+  // There is no serial loop: a window that may not overlap instances is one
+  // task on the driver pool, so its pool counters are reported like any
+  // other local window's.
+  VcdOptions options;
+  options.batch_size_override = 5;
+  options.parallel_instances = 4;
+  options.validate = false;
+  VisualCityDriver vcd(*dataset_, options);
+  OrderRecordingEngine engine;
+  auto batch = vcd.SampleBatch(QueryId::kQ1);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  auto result = vcd.RunQueryBatch(engine, QueryId::kQ1);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->parallel_instances, 1);
+  EXPECT_EQ(result->succeeded, 5);
+  EXPECT_EQ(result->pool_stats.tasks_submitted, 1);
+  EXPECT_EQ(result->pool_stats.tasks_executed, 1);
+  EXPECT_GT(result->pool_stats.busy_seconds, 0.0);
+  EXPECT_EQ(engine.peak(), 1);
+  std::vector<double> want;
+  for (const queries::QueryInstance& instance : *batch) {
+    want.push_back(instance.q1_t1);
+  }
+  EXPECT_EQ(engine.order(), want);
 }
 
 TEST_F(DriverTest, PipelineAndCascadeRunParallelBatches) {

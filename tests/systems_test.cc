@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <string>
 #include <thread>
 
 #include "driver/datasets.h"
@@ -282,6 +283,16 @@ struct EngineQueryCase {
   EngineKind engine;
   QueryId query;
 };
+
+// Names each case (and its ctest entry) by engine and query, e.g.
+// pipeline_Q2c; without it gtest prints the struct's raw bytes.
+void PrintTo(const EngineQueryCase& c, std::ostream* os) {
+  const char* engines[] = {"batch", "pipeline", "cascade"};
+  std::string query = queries::QueryName(c.query);
+  std::erase(query, '(');
+  std::erase(query, ')');
+  *os << engines[static_cast<int>(c.engine)] << "_" << query;
+}
 
 class EngineQueryMatrix : public SystemsTest,
                           public ::testing::WithParamInterface<EngineQueryCase> {};
