@@ -462,6 +462,10 @@ StatusOr<QueryOutput> BatchEngine::ExecuteImpl(const QueryInstance& instance,
       VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
                           detail::InputAsset(instance, dataset));
       const video::codec::EncodedVideo& encoded = asset->container.video;
+      // Refuse before upsampling: the result could not be contained anyway.
+      VR_RETURN_IF_ERROR(video::container::CheckFrameSize(
+          int64_t{encoded.width} * instance.q45_alpha,
+          int64_t{encoded.height} * instance.q45_beta));
       // Eager materialisation sizes the entire upsampled table up front, and
       // tables are retained for the whole batch, so successive Q4 instances
       // push the engine over its ceiling — the paper's Scanner deployment

@@ -432,6 +432,10 @@ StatusOr<QueryOutput> PipelineEngine::ExecuteImpl(const QueryInstance& instance,
       // vr:Q4:begin
       VR_ASSIGN_OR_RETURN(const sim::VideoAsset* asset,
                           detail::InputAsset(instance, dataset));
+      // Refuse before upsampling: the result could not be contained anyway.
+      VR_RETURN_IF_ERROR(video::container::CheckFrameSize(
+          int64_t{asset->container.video.width} * instance.q45_alpha,
+          int64_t{asset->container.video.height} * instance.q45_beta));
       VR_ASSIGN_OR_RETURN(Video input, DecodeInput(*asset, call));
       VR_ASSIGN_OR_RETURN(Video up, FusedPipeline(input, [&](const Frame& f, int) {
                             return video::BilinearResize(
