@@ -24,6 +24,31 @@ Status CurrentExceptionToStatus() {
   }
 }
 
+/// The pool whose worker loop runs on this thread; null elsewhere. Lets a
+/// nested ParallelForStatus on the same pool run inline instead of blocking
+/// a worker on chunks that may need that worker to run.
+thread_local const ThreadPool* current_pool = nullptr;
+
+/// Runs fn(i) for i in [begin, end) in order, stopping at the first failure.
+/// Returns that failure (exceptions become Internal) and its index.
+Status RunRange(int begin, int end, const std::function<Status(int)>& fn,
+                int* failed_at) {
+  int i = begin;
+  try {
+    for (; i < end; ++i) {
+      Status status = fn(i);
+      if (!status.ok()) {
+        *failed_at = i;
+        return status;
+      }
+    }
+  } catch (...) {
+    *failed_at = i;
+    return CurrentExceptionToStatus();
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads, const char* name) {
@@ -105,6 +130,12 @@ Status ThreadPool::ParallelForStatus(int count,
                                      const std::function<Status(int)>& fn,
                                      int grain) {
   if (count <= 0) return Status::Ok();
+  if (current_pool == this) {
+    // Queueing chunks and blocking on them from a worker could wait forever
+    // once every worker does the same; the worker runs the loop itself.
+    int failed_at = 0;
+    return RunRange(0, count, fn, &failed_at);
+  }
   if (grain <= 0) {
     // Several chunks per worker keeps the pool balanced without paying one
     // queue round-trip per index.
@@ -136,17 +167,7 @@ Status ThreadPool::ParallelForStatus(int count,
       // Once any chunk has failed, later chunks skip their work entirely
       // (the waiter only ever sees the lowest-index failure anyway).
       if (!state->failed.load(std::memory_order_relaxed)) {
-        try {
-          for (int i = begin; i < end; ++i) {
-            status = fn(i);
-            if (!status.ok()) {
-              failed_at = i;
-              break;
-            }
-          }
-        } catch (...) {
-          status = CurrentExceptionToStatus();
-        }
+        status = RunRange(begin, end, fn, &failed_at);
       }
       if (!status.ok()) {
         state->failed.store(true, std::memory_order_relaxed);
@@ -197,6 +218,7 @@ void ThreadPool::RecordChunkFailure() {
 }
 
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

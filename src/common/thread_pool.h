@@ -39,13 +39,15 @@ struct PoolStats {
 PoolStats PoolStatsDelta(const PoolStats& after, const PoolStats& before);
 
 /// A fixed-size worker pool. Used by the VCG (parallel tile generation and
-/// distributed mode), the VCD's parallel batch execution, and the
-/// BatchEngine's stage executor.
+/// distributed mode), the VCD's parallel batch execution, the BatchEngine's
+/// stage executor, and the codec pool that runs GOP-parallel coding and the
+/// PipelineEngine's operators.
 ///
-/// Tasks must not submit to (or wait on) their own pool: workers that block
-/// on nested work can exhaust the pool and deadlock. Use a separate pool for
-/// nested parallelism (the VCD's instance pool and an engine's stage pool
-/// coexist this way).
+/// A ParallelFor or ParallelForStatus call made from one of this pool's own
+/// workers runs its loop inline on that worker instead of queueing chunks
+/// and blocking on them, so nested calls cannot deadlock. Submit() followed
+/// by Wait() from a worker still can: Wait() blocks on every task in flight,
+/// including the caller's own.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (at least 1). `name` selects the
@@ -77,7 +79,8 @@ class ThreadPool {
   /// batched into chunks of `grain` (0 picks a grain that yields several
   /// chunks per worker), so cheap bodies do not pay one queue round-trip per
   /// index. The calling thread does not participate, matching a
-  /// dispatch-to-cluster model. A body that throws is captured as with
+  /// dispatch-to-cluster model, unless it is one of this pool's workers: then
+  /// the loop runs inline on it. A body that throws is captured as with
   /// Submit() and surfaced by the next Wait().
   void ParallelFor(int count, const std::function<void(int)>& fn, int grain = 0);
 
@@ -85,6 +88,8 @@ class ThreadPool {
   /// failure with the lowest index (exceptions are converted to Internal).
   /// Once any chunk fails, not-yet-started chunks are skipped. Completion is
   /// tracked per call, so concurrent callers on one pool do not interfere.
+  /// Called from this pool's own worker, the loop runs inline in index order
+  /// and stops at the first failure.
   Status ParallelForStatus(int count, const std::function<Status(int)>& fn,
                            int grain = 0);
 

@@ -211,19 +211,25 @@ StatusOr<Video> TrackingQuery(const ReferenceContext& context,
 StatusOr<std::array<Video, 4>> DecodePanoFaces(const sim::Dataset& dataset,
                                                int pano_group,
                                                std::array<sim::Camera, 4>* cameras_out,
-                                               double* forward_yaw_out) {
+                                               double* forward_yaw_out, int width) {
   std::vector<const sim::VideoAsset*> faces = dataset.PanoramicGroup(pano_group);
   for (const sim::VideoAsset* face : faces) {
     if (face == nullptr) {
       return Status::NotFound("panoramic group is missing a face video");
     }
   }
+  // Face frames are allocated here, on the calling thread; each face task
+  // decodes into its own.
   std::array<Video, 4> decoded;
-  for (int f = 0; f < 4; ++f) {
-    VR_ASSIGN_OR_RETURN(
-        decoded[static_cast<size_t>(f)],
-        video::codec::Decode(faces[static_cast<size_t>(f)]->container.video));
+  for (size_t f = 0; f < 4; ++f) {
+    const video::codec::EncodedVideo& encoded = faces[f]->container.video;
+    decoded[f].frames.assign(encoded.frames.size(),
+                             video::Frame(encoded.width, encoded.height));
   }
+  VR_RETURN_IF_ERROR(video::codec::CodecParallelFor(width, 4, [&](int f) {
+    return video::codec::DecodeInto(faces[static_cast<size_t>(f)]->container.video,
+                                    decoded[static_cast<size_t>(f)]);
+  }));
   if (cameras_out != nullptr) {
     for (int f = 0; f < 4; ++f) {
       (*cameras_out)[static_cast<size_t>(f)] =
@@ -237,7 +243,8 @@ StatusOr<std::array<Video, 4>> DecodePanoFaces(const sim::Dataset& dataset,
   return decoded;
 }
 
-StatusOr<Video> StitchQuery(const ReferenceContext& context, int pano_group) {
+StatusOr<Video> StitchQuery(const ReferenceContext& context, int pano_group,
+                            int width) {
   if (context.dataset == nullptr) {
     return Status::InvalidArgument("stitch query needs a dataset context");
   }
@@ -247,23 +254,25 @@ StatusOr<Video> StitchQuery(const ReferenceContext& context, int pano_group) {
   double forward_yaw = 0.0;
   using FaceArray = std::array<Video, 4>;
   VR_ASSIGN_OR_RETURN(FaceArray faces, DecodePanoFaces(*context.dataset, pano_group,
-                                                       &cameras, &forward_yaw));
+                                                       &cameras, &forward_yaw, width));
   return vision::StitchEquirectVideo(
       std::array<const Video*, 4>{&faces[0], &faces[1], &faces[2], &faces[3]},
       cameras, PanoramaWidth(context.dataset->config),
-      PanoramaHeight(context.dataset->config), forward_yaw);
+      PanoramaHeight(context.dataset->config), forward_yaw, width);
 }
 
 StatusOr<Video> TileStreamQuery(const Video& panorama,
                                 const std::array<int64_t, 9>& bitrates,
                                 int client_width, int client_height,
-                                video::codec::Profile profile) {
+                                video::codec::Profile profile, int width) {
   if (panorama.frames.empty()) return Status::InvalidArgument("empty panorama");
   int tile_w = (panorama.Width() + 2) / 3;
   int tile_h = (panorama.Height() + 2) / 3;
   std::vector<int64_t> rates(bitrates.begin(), bitrates.end());
   VR_ASSIGN_OR_RETURN(Video tiled, vision::TiledReencode(panorama, tile_w, tile_h,
-                                                         rates, profile));
+                                                         rates, profile,
+                                                         /*encoded_bytes_out=*/nullptr,
+                                                         width));
   Video out;
   out.fps = panorama.fps;
   out.frames.reserve(tiled.frames.size());

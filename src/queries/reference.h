@@ -93,21 +93,26 @@ StatusOr<video::Video> TrackingQuery(const ReferenceContext& context,
                                      const std::string& plate,
                                      std::vector<TrackingSegment>* segments_out);
 
+// The `width` arguments below run independent units (face decodes, stitched
+// rows, re-encoded tiles) on the codec pool that wide; the output is the same
+// at every width. The reference implementation runs them at width 1.
+
 /// Q9: stitch one panoramic rig's four faces into an equirectangular video.
-StatusOr<video::Video> StitchQuery(const ReferenceContext& context, int pano_group);
+StatusOr<video::Video> StitchQuery(const ReferenceContext& context, int pano_group,
+                                   int width = 1);
 
 /// Q10: tile a 360-degree video at mixed bitrates and downsample to the
 /// client resolution.
 StatusOr<video::Video> TileStreamQuery(const video::Video& panorama,
                                        const std::array<int64_t, 9>& bitrates,
                                        int client_width, int client_height,
-                                       video::codec::Profile profile);
+                                       video::codec::Profile profile, int width = 1);
 
-/// Decodes the four face videos of a panoramic group and returns the face
-/// cameras (shared by Q9 implementations across engines).
+/// Decodes the four face videos of a panoramic group (one task per face) and
+/// returns the face cameras (shared by Q9 implementations across engines).
 StatusOr<std::array<video::Video, 4>> DecodePanoFaces(
     const sim::Dataset& dataset, int pano_group,
-    std::array<sim::Camera, 4>* cameras_out, double* forward_yaw_out);
+    std::array<sim::Camera, 4>* cameras_out, double* forward_yaw_out, int width = 1);
 
 }  // namespace visualroad::queries
 

@@ -14,8 +14,16 @@
 //
 // Decoded content flows through the process-wide GOP cache shared with the
 // other engines; the per-engine counters behind stats() are atomic and the
-// inference memo is mutex-guarded, so Execute() is safe to call concurrently
-// (ConcurrentSafe) and the VCD may fan instances out to this engine.
+// inference memo is mutex-guarded and single-flight, so Execute() is safe to
+// call concurrently (ConcurrentSafe) and the VCD may fan instances out to
+// this engine.
+//
+// Within one instance, the heavy operators run their independent units on
+// the codec pool, EngineOptions::codec_threads wide: Q3's tiles, Q9's face
+// decodes and stitched rows, and the frames of the mean-filter mask (Q2(d),
+// Q7) and of detection (Q2(c), Q7). The calling thread allocates every
+// buffer a unit fills, and output is byte-identical at every width. The
+// cheap per-frame maps of FusedPipeline stay serial.
 //
 // Lines between "vr:<query>:begin/end" markers are counted by the Figure 7
 // lines-of-code bench.
@@ -23,6 +31,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <mutex>
 #include <unordered_map>
 
@@ -65,7 +74,8 @@ class PipelineEngine : public Vdbms {
   void Quiesce() override {
     gop_cache_->Clear();
     std::lock_guard<std::mutex> lock(inference_mutex_);
-    inference_cache_.clear();
+    // In-flight entries stay: their leaders fill them and wake the waiters.
+    std::erase_if(inference_cache_, [](const auto& entry) { return !entry.second.pending; });
   }
 
   EngineStats stats() const override {
@@ -176,44 +186,79 @@ class PipelineEngine : public Vdbms {
   /// caching" advantage Section 2 argues such corpora hand to systems.
   /// Returns per-frame detections unfiltered by object class; that is the
   /// representation the semantic cache stores, so Q2(c) and Q7 over
-  /// different classes share one materialization.
-  std::vector<std::vector<vision::Detection>> DetectUnfiltered(
+  /// different classes share one materialization. Frames run as one task
+  /// each on the codec pool.
+  StatusOr<std::vector<std::vector<vision::Detection>>> DetectUnfiltered(
       const Video& input, const std::vector<sim::FrameGroundTruth>& truth,
       CallCounters& call) {
     TRACE_SPAN("cached_boxes");
-    std::vector<std::vector<vision::Detection>> result;
-    result.reserve(input.frames.size());
+    std::vector<std::vector<vision::Detection>> result(input.frames.size());
+    std::atomic<int64_t> hits{0}, runs{0};
     static const sim::FrameGroundTruth kEmpty;
-    for (int f = 0; f < input.FrameCount(); ++f) {
-      const Frame& frame = input.frames[static_cast<size_t>(f)];
-      uint64_t key = frame.ContentHash() ^
-                     (static_cast<uint64_t>(f) * 0x9E3779B97F4A7C15ULL);
-      std::vector<vision::Detection> detections;
-      bool cached = false;
-      {
-        std::lock_guard<std::mutex> lock(inference_mutex_);
-        auto it = inference_cache_.find(key);
-        if (it != inference_cache_.end()) {
-          detections = it->second;
-          cached = true;
-        }
-      }
-      if (cached) {
-        ++call.inference_hits;
-      } else {
-        const sim::FrameGroundTruth& gt =
-            static_cast<size_t>(f) < truth.size() ? truth[static_cast<size_t>(f)]
-                                                  : kEmpty;
-        detections = detector_->Detect(frame, gt, f);
-        ++call.cnn_frames_full;
-        std::lock_guard<std::mutex> lock(inference_mutex_);
-        if (inference_cache_.size() < 4096) {
-          inference_cache_.emplace(key, detections);
-        }
-      }
-      result.push_back(std::move(detections));
-    }
+    VR_RETURN_IF_ERROR(video::codec::CodecParallelFor(
+        options_.codec_threads, input.FrameCount(), [&](int f) {
+          size_t i = static_cast<size_t>(f);
+          const sim::FrameGroundTruth& gt = i < truth.size() ? truth[i] : kEmpty;
+          result[i] = MemoizedDetect(input.frames[i], gt, f, hits, runs);
+          return Status::Ok();
+        }));
+    call.inference_hits += hits.load();
+    call.cnn_frames_full += runs.load();
     return result;
+  }
+
+  /// One frame's detections through the memo. The first caller for a key
+  /// publishes an in-flight entry and runs the detector; later callers wait
+  /// for it (single-flight, as in the GOP cache), so MiniYolo runs once per
+  /// key however instances and frame tasks overlap.
+  std::vector<vision::Detection> MemoizedDetect(const Frame& frame,
+                                                const sim::FrameGroundTruth& gt,
+                                                int f, std::atomic<int64_t>& hits,
+                                                std::atomic<int64_t>& runs) {
+    uint64_t key = frame.ContentHash() ^
+                   (static_cast<uint64_t>(f) * 0x9E3779B97F4A7C15ULL);
+    bool lead = false;
+    {
+      std::unique_lock<std::mutex> lock(inference_mutex_);
+      for (;;) {
+        auto it = inference_cache_.find(key);
+        if (it == inference_cache_.end()) break;
+        if (!it->second.pending) {
+          ++hits;
+          return it->second.detections;
+        }
+        inference_ready_.wait(lock);
+      }
+      // Past the memo's capacity, frames run uncached and unshared.
+      if (inference_cache_.size() < 4096) {
+        inference_cache_[key].pending = true;
+        lead = true;
+      }
+    }
+    std::vector<vision::Detection> detections;
+    try {
+      detections = detector_->Detect(frame, gt, f);
+    } catch (...) {
+      if (lead) Publish(key, nullptr);
+      throw;
+    }
+    ++runs;
+    if (lead) Publish(key, &detections);
+    return detections;
+  }
+
+  /// Completes an in-flight memo entry (or drops it when `detections` is
+  /// null) and wakes its waiters.
+  void Publish(uint64_t key, const std::vector<vision::Detection>* detections) {
+    std::lock_guard<std::mutex> lock(inference_mutex_);
+    auto it = inference_cache_.find(key);
+    if (detections == nullptr) {
+      inference_cache_.erase(it);
+    } else {
+      it->second.pending = false;
+      it->second.detections = *detections;
+    }
+    inference_ready_.notify_all();
   }
 
   queries::SemanticKey SemanticKeyFor(
@@ -314,8 +359,13 @@ class PipelineEngine : public Vdbms {
   std::unique_ptr<vision::MiniYolo> detector_;
   video::codec::GopCache* gop_cache_;
   video::codec::GopCacheCounters decode_counters_;
+  struct InferenceEntry {
+    bool pending = false;  // The leader is still running the detector.
+    std::vector<vision::Detection> detections;
+  };
   std::mutex inference_mutex_;
-  std::unordered_map<uint64_t, std::vector<vision::Detection>> inference_cache_;
+  std::condition_variable inference_ready_;
+  std::unordered_map<uint64_t, InferenceEntry> inference_cache_;
   std::atomic<int64_t> frames_decoded_extra_{0};  // Stitch inputs (Q9/Q10).
   std::atomic<int64_t> frames_encoded_{0};
   std::atomic<int64_t> inference_hits_{0};
@@ -410,7 +460,8 @@ StatusOr<QueryOutput> PipelineEngine::ExecuteImpl(const QueryInstance& instance,
       // filter recomputes its window per frame (the paper's slow path).
       VR_ASSIGN_OR_RETURN(Video masked,
                           vision::MaskBackgroundNaive(input, instance.q2d_m,
-                                                      instance.q2d_epsilon));
+                                                      instance.q2d_epsilon,
+                                                      options_.codec_threads));
       VR_RETURN_IF_ERROR(Finish(masked, instance, mode, output_dir, output, call));
       // vr:Q2(d):end
       return output;
@@ -423,7 +474,9 @@ StatusOr<QueryOutput> PipelineEngine::ExecuteImpl(const QueryInstance& instance,
       VR_ASSIGN_OR_RETURN(Video tiled,
                           vision::TiledReencode(input, instance.q3_dx,
                                                 instance.q3_dy, instance.q3_bitrates,
-                                                options_.output_profile));
+                                                options_.output_profile,
+                                                /*encoded_bytes_out=*/nullptr,
+                                                options_.codec_threads));
       VR_RETURN_IF_ERROR(Finish(tiled, instance, mode, output_dir, output, call));
       // vr:Q3:end
       return output;
@@ -535,7 +588,8 @@ StatusOr<QueryOutput> PipelineEngine::ExecuteImpl(const QueryInstance& instance,
                           queries::UnionBoxesQuery(input, boxes.video));
       VR_ASSIGN_OR_RETURN(Video masked,
                           vision::MaskBackgroundNaive(merged, instance.q2d_m,
-                                                      instance.q2d_epsilon));
+                                                      instance.q2d_epsilon,
+                                                      options_.codec_threads));
       output.detections = std::move(boxes.detections);
       VR_RETURN_IF_ERROR(Finish(masked, instance, mode, output_dir, output, call));
       // vr:Q7:end
@@ -553,7 +607,8 @@ StatusOr<QueryOutput> PipelineEngine::ExecuteImpl(const QueryInstance& instance,
     case QueryId::kQ9: {
       // vr:Q9:begin
       VR_ASSIGN_OR_RETURN(Video stitched,
-                          queries::StitchQuery(context, instance.pano_group));
+                          queries::StitchQuery(context, instance.pano_group,
+                                               options_.codec_threads));
       call.frames_decoded_extra += 4 * stitched.FrameCount();
       VR_RETURN_IF_ERROR(Finish(stitched, instance, mode, output_dir, output, call));
       // vr:Q9:end
@@ -562,14 +617,15 @@ StatusOr<QueryOutput> PipelineEngine::ExecuteImpl(const QueryInstance& instance,
     case QueryId::kQ10: {
       // vr:Q10:begin
       VR_ASSIGN_OR_RETURN(Video stitched,
-                          queries::StitchQuery(context, instance.pano_group));
+                          queries::StitchQuery(context, instance.pano_group,
+                                               options_.codec_threads));
       call.frames_decoded_extra += 4 * stitched.FrameCount();
       VR_ASSIGN_OR_RETURN(
           Video result,
           queries::TileStreamQuery(stitched, instance.q10_bitrates,
                                    instance.q10_client_width,
                                    instance.q10_client_height,
-                                   options_.output_profile));
+                                   options_.output_profile, options_.codec_threads));
       VR_RETURN_IF_ERROR(Finish(result, instance, mode, output_dir, output, call));
       // vr:Q10:end
       return output;

@@ -2,6 +2,7 @@
 #define VISUALROAD_VIDEO_CODEC_CODEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -97,6 +98,11 @@ class Decoder {
   /// Decodes the next frame. The first frame must be a keyframe.
   StatusOr<Frame> DecodeFrame(const EncodedFrame& encoded);
 
+  /// As above, into `out`: a frame that already has the stream's size keeps
+  /// its storage, so a caller can allocate outputs on its own thread and
+  /// decode into them on another.
+  Status DecodeFrame(const EncodedFrame& encoded, Frame& out);
+
   /// Decodes `encoded` into the reference state without materialising an
   /// output frame — the cheap warm-up path when random access lands mid-GOP.
   Status Advance(const EncodedFrame& encoded);
@@ -122,6 +128,10 @@ StatusOr<EncodedVideo> ParallelEncode(const Video& video, const EncoderConfig& c
 /// Decodes an entire encoded video.
 StatusOr<Video> Decode(const EncodedVideo& encoded);
 
+/// Decodes an entire encoded video into `out`, on the calling thread. Frames
+/// of `out` that already have the stream's size keep their storage.
+Status DecodeInto(const EncodedVideo& encoded, Video& out);
+
 /// GOP-parallel decode of the whole stream; output is identical to Decode().
 /// `threads` <= 0 selects DefaultCodecThreads().
 StatusOr<Video> ParallelDecode(const EncodedVideo& encoded, int threads = 0);
@@ -141,6 +151,14 @@ int DefaultCodecThreads();
 /// Cumulative counters of the process-wide codec pool, for the benchmark
 /// parallel-efficiency lines.
 PoolStats CodecPoolStats();
+
+/// Runs fn(i) for i in [0, count) as at most `width` contiguous chunks on the
+/// process-wide codec pool and returns the lowest-index failure. A width (or
+/// count) of 1 runs the loop on the calling thread, and so does a call from
+/// a codec pool task; `width` <= 0 selects DefaultCodecThreads(). Output is
+/// independent of `width` when each fn(i) reads only const inputs and writes
+/// only its own pre-sized slot.
+Status CodecParallelFor(int width, int count, const std::function<Status(int)>& fn);
 
 }  // namespace visualroad::video::codec
 

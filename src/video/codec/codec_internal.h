@@ -98,12 +98,6 @@ StatusOr<EncodedFrame> EncodeFrameImpl(const EncoderSettings& settings,
                                        ReconPlanes& reference, const Frame& frame,
                                        bool keyframe, int qp);
 
-/// Runs fn(i) for i in [0, count) on the process-wide codec pool, batching
-/// indices into at most `parallelism` contiguous chunk tasks. Returns the
-/// lowest-index failure. Callers must not already be on the codec pool.
-Status CodecParallelForStatus(int parallelism, int count,
-                              const std::function<Status(int)>& fn);
-
 }  // namespace visualroad::video::codec::internal
 
 #endif  // VISUALROAD_VIDEO_CODEC_CODEC_INTERNAL_H_

@@ -191,15 +191,21 @@ Status Decoder::Advance(const EncodedFrame& encoded) {
 }
 
 StatusOr<Frame> Decoder::DecodeFrame(const EncodedFrame& encoded) {
+  Frame frame;
+  VR_RETURN_IF_ERROR(DecodeFrame(encoded, frame));
+  return frame;
+}
+
+Status Decoder::DecodeFrame(const EncodedFrame& encoded, Frame& out) {
   VR_RETURN_IF_ERROR(DecodeInto(encoded));
   internal::FramesDecodedCounter().Increment();
   State& s = *state_;
   int cw = (s.width + 1) / 2, ch = (s.height + 1) / 2;
-  Frame frame(s.width, s.height);
-  internal::UnpadPlane(s.reference.y, s.width, s.height, frame.y_plane());
-  internal::UnpadPlane(s.reference.u, cw, ch, frame.u_plane());
-  internal::UnpadPlane(s.reference.v, cw, ch, frame.v_plane());
-  return frame;
+  if (out.width() != s.width || out.height() != s.height) out = Frame(s.width, s.height);
+  internal::UnpadPlane(s.reference.y, s.width, s.height, out.y_plane());
+  internal::UnpadPlane(s.reference.u, cw, ch, out.u_plane());
+  internal::UnpadPlane(s.reference.v, cw, ch, out.v_plane());
+  return Status::Ok();
 }
 
 namespace {
@@ -216,8 +222,8 @@ Status DecodeSegment(const EncodedVideo& encoded, int begin, int end, int first,
       VR_RETURN_IF_ERROR(decoder.Advance(encoded.frames[i]));
       continue;
     }
-    VR_ASSIGN_OR_RETURN(Frame frame, decoder.DecodeFrame(encoded.frames[i]));
-    out[static_cast<size_t>(i - first)] = std::move(frame);
+    VR_RETURN_IF_ERROR(
+        decoder.DecodeFrame(encoded.frames[i], out[static_cast<size_t>(i - first)]));
   }
   return Status::Ok();
 }
@@ -226,6 +232,12 @@ Status DecodeSegment(const EncodedVideo& encoded, int begin, int end, int first,
 
 StatusOr<Video> Decode(const EncodedVideo& encoded) {
   return DecodeRange(encoded, 0, encoded.FrameCount());
+}
+
+Status DecodeInto(const EncodedVideo& encoded, Video& out) {
+  out.fps = encoded.fps;
+  out.frames.resize(encoded.frames.size());
+  return DecodeSegment(encoded, 0, encoded.FrameCount(), 0, out.frames);
 }
 
 StatusOr<Video> DecodeRange(const EncodedVideo& encoded, int first, int count,
@@ -248,14 +260,8 @@ StatusOr<Video> DecodeRange(const EncodedVideo& encoded, int first, int count,
     if (encoded.frames[i].keyframe) segment_starts.push_back(i);
   }
   int segments = static_cast<int>(segment_starts.size());
-  if (threads <= 0) threads = DefaultCodecThreads();
-
-  if (threads <= 1 || segments <= 1) {
-    VR_RETURN_IF_ERROR(DecodeSegment(encoded, start, end, first, out.frames));
-    return out;
-  }
-  VR_RETURN_IF_ERROR(internal::CodecParallelForStatus(
-      std::min(threads, segments), segments, [&](int index) -> Status {
+  VR_RETURN_IF_ERROR(CodecParallelFor(
+      threads, segments, [&](int index) -> Status {
         int begin = segment_starts[index];
         int stop = index + 1 < segments ? segment_starts[index + 1] : end;
         return DecodeSegment(encoded, begin, stop, first, out.frames);

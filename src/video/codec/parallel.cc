@@ -55,15 +55,18 @@ metrics::Counter& WarmupFramesCounter() {
   return counter;
 }
 
-Status CodecParallelForStatus(int parallelism, int count,
-                              const std::function<Status(int)>& fn) {
-  if (count <= 0) return Status::Ok();
-  parallelism = std::clamp(parallelism, 1, count);
-  int grain = (count + parallelism - 1) / parallelism;
-  return CodecPool().ParallelForStatus(count, fn, grain);
-}
-
 }  // namespace internal
+
+Status CodecParallelFor(int width, int count, const std::function<Status(int)>& fn) {
+  if (count <= 0) return Status::Ok();
+  if (width <= 0) width = DefaultCodecThreads();
+  width = std::min(width, count);
+  if (width == 1) {
+    for (int i = 0; i < count; ++i) VR_RETURN_IF_ERROR(fn(i));
+    return Status::Ok();
+  }
+  return CodecPool().ParallelForStatus(count, fn, (count + width - 1) / width);
+}
 
 StatusOr<EncodedVideo> ParallelEncode(const Video& video, const EncoderConfig& config,
                                       int threads) {
@@ -109,12 +112,7 @@ StatusOr<EncodedVideo> ParallelEncode(const Video& video, const EncoderConfig& c
     return Status::Ok();
   };
 
-  if (threads <= 0) threads = DefaultCodecThreads();
-  if (threads <= 1 || gops <= 1) {
-    for (int g = 0; g < gops; ++g) VR_RETURN_IF_ERROR(encode_gop(g));
-    return out;
-  }
-  VR_RETURN_IF_ERROR(internal::CodecParallelForStatus(threads, gops, encode_gop));
+  VR_RETURN_IF_ERROR(CodecParallelFor(threads, gops, encode_gop));
   return out;
 }
 

@@ -247,11 +247,18 @@ StatusOr<Frame> MeanFrame(const std::vector<const Frame*>& frames) {
 
 StatusOr<Frame> MaskAgainstBackground(const Frame& frame, const Frame& background,
                                       double epsilon) {
+  Frame out;
+  VR_RETURN_IF_ERROR(MaskAgainstBackground(frame, background, epsilon, out));
+  return out;
+}
+
+Status MaskAgainstBackground(const Frame& frame, const Frame& background,
+                             double epsilon, Frame& out) {
   if (frame.width() != background.width() || frame.height() != background.height()) {
     return Status::InvalidArgument("mask inputs must share a resolution");
   }
   const int w = frame.width(), h = frame.height();
-  Frame out(w, h);
+  if (out.width() != w || out.height() != h) out = Frame(w, h);
   // |(p_v - p_b) / p_v| < epsilon means "static": emit omega. The zero-pixel
   // guard (static only when the background is also zero) lives in the kernel.
   const kernels::KernelTable& kt = kernels::Kernels();
@@ -284,7 +291,7 @@ StatusOr<Frame> MaskAgainstBackground(const Frame& frame, const Frame& backgroun
       }
     }
   }
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace visualroad::video

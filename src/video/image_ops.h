@@ -60,6 +60,11 @@ StatusOr<Frame> MeanFrame(const std::vector<const Frame*>& frames);
 StatusOr<Frame> MaskAgainstBackground(const Frame& frame, const Frame& background,
                                       double epsilon);
 
+/// As above, into `out`; a frame that already has the input's size keeps its
+/// storage (and every sample is overwritten).
+Status MaskAgainstBackground(const Frame& frame, const Frame& background,
+                             double epsilon, Frame& out);
+
 }  // namespace visualroad::video
 
 #endif  // VISUALROAD_VIDEO_IMAGE_OPS_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "video/codec/codec.h"
 #include "video/image_ops.h"
 #include "video/kernels/kernels.h"
 
@@ -89,21 +90,21 @@ StatusOr<video::Video> MaskBackgroundRunning(const video::Video& input, int m,
 }
 
 StatusOr<video::Video> MaskBackgroundNaive(const video::Video& input, int m,
-                                           double epsilon) {
+                                           double epsilon, int width) {
   VR_RETURN_IF_ERROR(Validate(input, m, epsilon));
   int n = input.FrameCount();
   video::Video out;
   out.fps = input.fps;
-  out.frames.reserve(n);
-  for (int j = 0; j < n; ++j) {
+  // Output frames are allocated here, on the calling thread; each frame task
+  // only fills its own.
+  out.frames.assign(n, video::Frame(input.Width(), input.Height()));
+  VR_RETURN_IF_ERROR(video::codec::CodecParallelFor(width, n, [&](int j) -> Status {
     std::vector<const video::Frame*> window;
     for (int k = j; k < std::min(j + m, n); ++k) window.push_back(&input.frames[k]);
     VR_ASSIGN_OR_RETURN(video::Frame background, video::MeanFrame(window));
-    VR_ASSIGN_OR_RETURN(video::Frame masked,
-                        video::MaskAgainstBackground(input.frames[j], background,
-                                                     epsilon));
-    out.frames.push_back(std::move(masked));
-  }
+    return video::MaskAgainstBackground(input.frames[j], background, epsilon,
+                                        out.frames[j]);
+  }));
   return out;
 }
 

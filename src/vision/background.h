@@ -17,10 +17,13 @@ namespace visualroad::vision {
 ///  - Running: maintains per-pixel window sums incrementally, O(pixels) per
 ///    frame regardless of m.
 ///  - Naive: recomputes the window mean from scratch per frame, O(m*pixels).
+///    Frames are independent, so they run as one task each on the codec pool,
+///    `width` wide (video::codec::CodecParallelFor); the output is the same
+///    at every width.
 StatusOr<video::Video> MaskBackgroundRunning(const video::Video& input, int m,
                                              double epsilon);
 StatusOr<video::Video> MaskBackgroundNaive(const video::Video& input, int m,
-                                           double epsilon);
+                                           double epsilon, int width = 1);
 
 }  // namespace visualroad::vision
 

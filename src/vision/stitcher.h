@@ -20,16 +20,21 @@ namespace visualroad::vision {
 ///
 /// `faces[i]` must be the frame captured by `cameras[i]`; output longitude 0
 /// (the image centre) faces `forward_yaw`.
+///
+/// Output rows are independent units, run as `width` contiguous row bands on
+/// the codec pool (video::codec::CodecParallelFor); the output is the same at
+/// every width.
 StatusOr<video::Frame> StitchEquirect(const std::array<const video::Frame*, 4>& faces,
                                       const std::array<sim::Camera, 4>& cameras,
                                       int out_width, int out_height,
-                                      double forward_yaw);
+                                      double forward_yaw, int width = 1);
 
-/// Stitches aligned face videos frame by frame.
+/// Stitches aligned face videos frame by frame; the rows of every frame form
+/// one sequence of units, split into `width` bands as above.
 StatusOr<video::Video> StitchEquirectVideo(
     const std::array<const video::Video*, 4>& faces,
     const std::array<sim::Camera, 4>& cameras, int out_width, int out_height,
-    double forward_yaw);
+    double forward_yaw, int width = 1);
 
 }  // namespace visualroad::vision
 

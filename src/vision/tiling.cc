@@ -82,29 +82,36 @@ StatusOr<video::Video> TiledReencode(const video::Video& input, int tile_w,
                                      int tile_h,
                                      const std::vector<int64_t>& bitrates,
                                      video::codec::Profile profile,
-                                     int64_t* encoded_bytes_out) {
+                                     int64_t* encoded_bytes_out, int width) {
   if (bitrates.empty()) return Status::InvalidArgument("no tile bitrates given");
   VR_ASSIGN_OR_RETURN(std::vector<video::Video> tiles,
                       PartitionVideo(input, tile_w, tile_h));
   int cols = (input.Width() + tile_w - 1) / tile_w;
   int rows = (input.Height() + tile_h - 1) / tile_h;
 
-  int64_t total_bytes = 0;
-  std::vector<video::Video> decoded;
-  decoded.reserve(tiles.size());
+  // Decoded tiles are allocated here, on the calling thread, at their final
+  // size; each tile task encodes its tile and decodes into its own slot.
+  std::vector<video::Video> decoded(tiles.size());
   for (size_t i = 0; i < tiles.size(); ++i) {
-    video::codec::EncoderConfig config;
-    config.profile = profile;
-    config.target_bitrate_bps = bitrates[i % bitrates.size()];
-    config.qp = 30;  // Starting point; the rate controller converges from here.
-    VR_ASSIGN_OR_RETURN(video::codec::EncodedVideo encoded,
-                        video::codec::Encode(tiles[i], config));
-    total_bytes += encoded.TotalBytes();
-    VR_ASSIGN_OR_RETURN(video::Video tile_decoded, video::codec::Decode(encoded));
-    tile_decoded.fps = input.fps;
-    decoded.push_back(std::move(tile_decoded));
+    decoded[i].frames.assign(tiles[i].frames.size(),
+                             video::Frame(tiles[i].Width(), tiles[i].Height()));
   }
-  if (encoded_bytes_out != nullptr) *encoded_bytes_out = total_bytes;
+  std::vector<int64_t> tile_bytes(tiles.size(), 0);
+  VR_RETURN_IF_ERROR(video::codec::CodecParallelFor(
+      width, static_cast<int>(tiles.size()), [&](int i) -> Status {
+        video::codec::EncoderConfig config;
+        config.profile = profile;
+        config.target_bitrate_bps = bitrates[i % bitrates.size()];
+        config.qp = 30;  // Starting point; the rate controller converges from here.
+        VR_ASSIGN_OR_RETURN(video::codec::EncodedVideo encoded,
+                            video::codec::Encode(tiles[i], config));
+        tile_bytes[i] = encoded.TotalBytes();
+        return video::codec::DecodeInto(encoded, decoded[i]);
+      }));
+  if (encoded_bytes_out != nullptr) {
+    *encoded_bytes_out = 0;
+    for (int64_t bytes : tile_bytes) *encoded_bytes_out += bytes;
+  }
   return ReassembleTiles(decoded, cols, rows);
 }
 

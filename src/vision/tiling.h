@@ -23,12 +23,15 @@ StatusOr<video::Video> ReassembleTiles(const std::vector<video::Video>& tiles,
 /// Q3's full Subquery: partition into (dx, dy) tiles, re-encode tile i at
 /// bitrates[i % bitrates.size()] bits/second, decode, and reassemble. Returns
 /// the reassembled video; `encoded_bytes_out` (optional) receives the total
-/// encoded payload size.
+/// encoded payload size. Each tile's encode and decode is one task on the
+/// codec pool, `width` wide (video::codec::CodecParallelFor); the output is
+/// the same at every width.
 StatusOr<video::Video> TiledReencode(const video::Video& input, int tile_w,
                                      int tile_h,
                                      const std::vector<int64_t>& bitrates,
                                      video::codec::Profile profile,
-                                     int64_t* encoded_bytes_out = nullptr);
+                                     int64_t* encoded_bytes_out = nullptr,
+                                     int width = 1);
 
 }  // namespace visualroad::vision
 

@@ -1298,11 +1298,10 @@ TEST_F(CoordinatorTest, EveryExecutionPathAgreesOnOneMixedBatch) {
 
 TEST_F(CoordinatorTest, PoolWidthsAgreeWhenStreamsRepeat) {
   // A Q2(c) batch that repeats a stream, one task at a time and four wide.
-  // Outcomes and validation must agree. Detector work need not: the
-  // engine's per-frame detection memo has no single-flight, so overlapping
-  // instances of one stream may each run the detector where one task in
-  // index order reuses the first one's detections. That gap is known; the
-  // four-wide run may do more detector work, never less.
+  // Outcomes, validation and detector work must agree: the engine's
+  // per-frame detection memo is single-flight, so overlapping instances of
+  // one stream run the detector once per frame, as one task in index order
+  // does.
   driver::VcdOptions base = RepeatFreeOptions();
   ASSERT_TRUE(SeedQ2cStreams(base, /*distinct=*/false));
   driver::VcdOptions wide = base;
@@ -1333,7 +1332,7 @@ TEST_F(CoordinatorTest, PoolWidthsAgreeWhenStreamsRepeat) {
   EXPECT_EQ(got.validation.passed, want.validation.passed);
   EXPECT_EQ(got.engine_stats.frames_decoded, want.engine_stats.frames_decoded);
   EXPECT_EQ(got.engine_stats.frames_encoded, want.engine_stats.frames_encoded);
-  EXPECT_GE(got.engine_stats.cnn_frames_full, want.engine_stats.cnn_frames_full);
+  EXPECT_EQ(got.engine_stats.cnn_frames_full, want.engine_stats.cnn_frames_full);
 }
 
 TEST_F(CoordinatorTest, DriverStagedDistributedBatchValidates) {

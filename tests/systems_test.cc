@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -11,6 +12,7 @@
 #include "systems/vdbms.h"
 #include "systems/video_source.h"
 #include "video/codec/gop_cache.h"
+#include "video/container/vrmp.h"
 #include "video/metrics.h"
 
 namespace visualroad::systems {
@@ -414,6 +416,62 @@ TEST_F(SystemsTest, PipelineCachesDecodedContent) {
   ASSERT_TRUE(
       pipeline->Execute(instance, *dataset_, OutputMode::kStreaming, "").ok());
   EXPECT_GE(pipeline->stats().cache_misses, 2);
+}
+
+TEST_F(SystemsTest, PipelineOutputIsByteIdenticalAtEveryCodecWidth) {
+  // The pipeline engine runs its tiles, faces, row bands and frames on the
+  // codec pool, EngineOptions::codec_threads wide. Every query must mux the
+  // same bytes and report the same detections at width 1 and width 4, and
+  // Q3 and Q9 must match the stream digests of the serial implementation
+  // that preceded the parallel one.
+  const std::map<QueryId, uint64_t> kSerialDigests = {
+      {QueryId::kQ3, 0xc6b8f8f2159caeebull},
+      {QueryId::kQ9, 0x4c3a8cec2145b0a8ull},
+  };
+  for (QueryId id : queries::AllQueries()) {
+    SCOPED_TRACE(queries::QueryName(id));
+    QueryInstance instance = Sample(id);
+    std::vector<QueryOutput> outputs;
+    for (int width : {1, 4}) {
+      video::codec::GopCache cache;
+      EngineOptions options;
+      options.gop_cache = &cache;
+      options.codec_threads = width;
+      auto engine = MakePipelineEngine(options);
+      auto output = engine->Execute(instance, *dataset_, OutputMode::kWrite, "");
+      ASSERT_TRUE(output.ok()) << "width " << width << ": "
+                               << output.status().ToString();
+      outputs.push_back(std::move(output).value());
+    }
+    const QueryOutput& serial = outputs[0];
+    const QueryOutput& wide = outputs[1];
+    video::container::Container serial_container, wide_container;
+    serial_container.video = serial.video;
+    wide_container.video = wide.video;
+    EXPECT_EQ(video::container::Mux(serial_container),
+              video::container::Mux(wide_container));
+    ASSERT_EQ(serial.detections.size(), wide.detections.size());
+    for (size_t f = 0; f < serial.detections.size(); ++f) {
+      ASSERT_EQ(serial.detections[f].size(), wide.detections[f].size()) << f;
+      for (size_t d = 0; d < serial.detections[f].size(); ++d) {
+        const vision::Detection& a = serial.detections[f][d];
+        const vision::Detection& b = wide.detections[f][d];
+        EXPECT_EQ(a.object_class, b.object_class);
+        EXPECT_EQ(a.box.x0, b.box.x0);
+        EXPECT_EQ(a.box.y0, b.box.y0);
+        EXPECT_EQ(a.box.x1, b.box.x1);
+        EXPECT_EQ(a.box.y1, b.box.y1);
+        EXPECT_EQ(a.score, b.score);
+        EXPECT_EQ(a.entity_id, b.entity_id);
+      }
+    }
+    auto digest = kSerialDigests.find(id);
+    if (digest != kSerialDigests.end()) {
+      EXPECT_GT(serial.video.FrameCount(), 0);
+      EXPECT_EQ(video::codec::StreamIdentity(serial.video), digest->second)
+          << std::hex << "0x" << video::codec::StreamIdentity(serial.video);
+    }
+  }
 }
 
 TEST_F(SystemsTest, BatchEngineFailsQ4UnderTightMemory) {

@@ -210,6 +210,41 @@ TEST(ThreadPoolTest, DefaultGrainBatchesChunks) {
   EXPECT_LE(stats.tasks_submitted, 64);
 }
 
+TEST(ThreadPoolTest, NestedCallOnTheSamePoolRunsInline) {
+  // A task on a one-worker pool calls ParallelForStatus on that same pool.
+  // Queueing the chunks would wait forever for the only worker, which is
+  // the caller; the nested loop runs inline on it instead.
+  ThreadPool pool(1);
+  constexpr int kCount = 64;
+  std::vector<int> visits(kCount, 0);
+  std::vector<std::thread::id> threads(kCount);
+  Status failure;
+  Status outer = pool.ParallelForStatus(1, [&](int) {
+    std::thread::id worker = std::this_thread::get_id();
+    Status all = pool.ParallelForStatus(
+        kCount,
+        [&](int i) {
+          ++visits[static_cast<size_t>(i)];
+          threads[static_cast<size_t>(i)] = std::this_thread::get_id();
+          return Status::Ok();
+        },
+        /*grain=*/1);
+    for (std::thread::id id : threads) EXPECT_EQ(id, worker);
+    failure = pool.ParallelForStatus(kCount, [](int i) {
+      return i == 9 || i == 40 ? Status::InvalidArgument("index " + std::to_string(i))
+                               : Status::Ok();
+    });
+    return all;
+  });
+  EXPECT_TRUE(outer.ok()) << outer.ToString();
+  for (int i = 0; i < kCount; ++i) EXPECT_EQ(visits[static_cast<size_t>(i)], 1) << i;
+  ASSERT_FALSE(failure.ok());
+  EXPECT_EQ(failure.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(failure.ToString().find("index 9"), std::string::npos);
+  // Only the outer call queued a task.
+  EXPECT_EQ(pool.stats().tasks_submitted, 1);
+}
+
 TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1);
 }

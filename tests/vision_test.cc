@@ -754,6 +754,52 @@ TEST_P(StitcherEquivalence, HoistedMatchesNaive) {
   EXPECT_EQ(pano->v_plane(), expected.v_plane());
 }
 
+TEST_P(StitcherEquivalence, RowBandsMatchNaive) {
+  // Row bands on the codec pool: band seams at odd heights and the chroma
+  // rows that only the last luma row writes must come out as the serial
+  // oracle's. Widths 3 and 4 put the seams at different rows.
+  auto [out_width, out_height] = GetParam();
+  sim::PanoramicRig rig;
+  rig.base_yaw = 0.4;
+  rig.face_intrinsics = {33, 27, 120.0};
+  auto cameras = rig.Faces();
+  std::array<Frame, 4> faces;
+  for (int f = 0; f < 4; ++f) faces[static_cast<size_t>(f)] = GradientFrame(33, 27, f * 50);
+  std::array<const Frame*, 4> face_ptrs{&faces[0], &faces[1], &faces[2], &faces[3]};
+  Frame expected =
+      NaiveStitchEquirect(face_ptrs, cameras, out_width, out_height, rig.base_yaw);
+  for (int width : {3, 4}) {
+    SCOPED_TRACE(width);
+    auto pano =
+        StitchEquirect(face_ptrs, cameras, out_width, out_height, rig.base_yaw, width);
+    ASSERT_TRUE(pano.ok());
+    EXPECT_EQ(pano->y_plane(), expected.y_plane());
+    EXPECT_EQ(pano->u_plane(), expected.u_plane());
+    EXPECT_EQ(pano->v_plane(), expected.v_plane());
+  }
+  // The video form splits the rows of all frames into one band sequence.
+  std::array<Video, 4> face_videos;
+  for (int f = 0; f < 4; ++f) {
+    face_videos[static_cast<size_t>(f)].frames = {faces[static_cast<size_t>(f)],
+                                                  faces[static_cast<size_t>((f + 1) % 4)],
+                                                  faces[static_cast<size_t>((f + 2) % 4)]};
+  }
+  std::array<const Video*, 4> video_ptrs{&face_videos[0], &face_videos[1],
+                                         &face_videos[2], &face_videos[3]};
+  auto serial = StitchEquirectVideo(video_ptrs, cameras, out_width, out_height,
+                                    rig.base_yaw, 1);
+  auto banded = StitchEquirectVideo(video_ptrs, cameras, out_width, out_height,
+                                    rig.base_yaw, 4);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(banded.ok());
+  ASSERT_EQ(serial->FrameCount(), 3);
+  ASSERT_EQ(banded->FrameCount(), 3);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(banded->frames[i].SameContentAs(serial->frames[i])) << "frame " << i;
+  }
+  EXPECT_TRUE(serial->frames[0].SameContentAs(expected));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     OutputSizes, StitcherEquivalence,
     ::testing::Values(std::pair{96, 48}, std::pair{95, 47}, std::pair{96, 47},
@@ -825,6 +871,33 @@ TEST(TilingTest, LowerBitrateSmallerPayload) {
   ASSERT_TRUE(high.ok());
   ASSERT_TRUE(low.ok());
   EXPECT_LT(low_bytes, high_bytes);
+}
+
+TEST(TilingTest, TiledReencodeIsIdenticalAtEveryWidth) {
+  // Odd tile sizes: chroma cells straddle tile seams, and edge tiles are
+  // smaller. One task per tile must give the serial bytes and pixels.
+  Video input = GradientVideo(50, 37, 4);
+  for (auto [tile_w, tile_h] : {std::pair{15, 11}, std::pair{7, 5}, std::pair{49, 37}}) {
+    SCOPED_TRACE(std::to_string(tile_w) + "x" + std::to_string(tile_h));
+    const std::vector<int64_t> bitrates = {1 << 16, 1 << 19, 1 << 21};
+    int64_t serial_bytes = 0, wide_bytes = 0;
+    auto serial = TiledReencode(input, tile_w, tile_h, bitrates,
+                                video::codec::Profile::kH264Like, &serial_bytes, 1);
+    auto wide = TiledReencode(input, tile_w, tile_h, bitrates,
+                              video::codec::Profile::kH264Like, &wide_bytes, 4);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_TRUE(wide.ok());
+    EXPECT_GT(serial_bytes, 0);
+    EXPECT_EQ(wide_bytes, serial_bytes);
+    EXPECT_EQ(wide->fps, serial->fps);
+    ASSERT_EQ(serial->FrameCount(), 4);
+    ASSERT_EQ(wide->FrameCount(), 4);
+    for (size_t f = 0; f < 4; ++f) {
+      EXPECT_EQ(wide->frames[f].width(), 50);
+      EXPECT_EQ(wide->frames[f].height(), 37);
+      EXPECT_TRUE(wide->frames[f].SameContentAs(serial->frames[f])) << "frame " << f;
+    }
+  }
 }
 
 TEST(TilingTest, RejectsEmptyBitrates) {
