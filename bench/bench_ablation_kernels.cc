@@ -1,16 +1,18 @@
 // Ablation bench: the SIMD kernel layer (DESIGN.md §13).
 //
-// Times every dispatched pixel kernel at each compiled-in SIMD level
-// (scalar / SSE2 / AVX2, clamped to what the host CPU reports) through the
-// same KernelTable the engines use, and cross-checks that each vector level
-// reproduces the scalar output byte for byte on the bench inputs. Timings are
-// warm-run medians: every (kernel, level) pair runs one untimed warm-up rep,
-// then the median of five timed reps is reported. The decode-path aggregate
-// (SAD + forward/inverse DCT + quantise + dequantise) is the headline number:
-// the acceptance bar is >= 2x over scalar on AVX2 hardware.
+// Times every dispatched pixel kernel at each SIMD level (scalar / AVX2,
+// clamped to what the host CPU reports) through the same KernelTable the
+// engines use, and cross-checks that the AVX2 level reproduces the scalar
+// output byte for byte on the bench inputs. Timings are warm-run medians:
+// every (kernel, level) pair runs one untimed warm-up rep, then the median of
+// five timed reps is reported. Two aggregates sum the kernels of each codec
+// direction: decode (IDCT + dequantise, what Decode() bottoms out in) and
+// encode (SAD + forward DCT + quantise). A table entry keeps its AVX2 variant
+// only if it beats scalar by at least 1.2x at the median of repeated runs.
 //
-// Prints per-kernel tables and writes machine-readable results to
-// bench/BENCH_kernels.json (override with VR_KERNELS_OUT).
+// Prints per-kernel tables and writes machine-readable results, with the
+// host's nproc and the build type, to bench/BENCH_kernels.json (override with
+// VR_KERNELS_OUT).
 
 #include <algorithm>
 #include <cmath>
@@ -20,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cpu.h"
@@ -184,15 +187,28 @@ const KernelCase kCases[] = {
     {Kernel::kRasterSpan, 64, RunRasterSpan},
 };
 
-constexpr Kernel kDecodePath[] = {Kernel::kSad, Kernel::kForwardDct,
-                                  Kernel::kInverseDct, Kernel::kQuantize,
-                                  Kernel::kDequantize};
+constexpr int kLevelCount = static_cast<int>(SimdLevel::kAvx2) + 1;
 
-bool OnDecodePath(Kernel kernel) {
-  for (Kernel k : kDecodePath) {
-    if (k == kernel) return true;
+/// The kernels each codec direction bottoms out in.
+struct CodecPath {
+  const char* name;
+  std::vector<Kernel> kernels;
+};
+
+const CodecPath kPaths[] = {
+    {"decode", {Kernel::kInverseDct, Kernel::kDequantize}},
+    {"encode", {Kernel::kSad, Kernel::kForwardDct, Kernel::kQuantize}},
+};
+
+/// "decode" or "encode" for a kernel on one of the paths, else "other".
+const char* PathOf(Kernel kernel) {
+  for (const CodecPath& path : kPaths) {
+    if (std::find(path.kernels.begin(), path.kernels.end(), kernel) !=
+        path.kernels.end()) {
+      return path.name;
+    }
   }
-  return false;
+  return "other";
 }
 
 /// Warm-up then median-of-kTimedReps nanoseconds per kernel invocation.
@@ -210,8 +226,8 @@ double MedianNsPerCall(const KernelCase& c, const KernelTable& kt) {
   return ns[ns.size() / 2];
 }
 
-/// Byte-compares each vector level's output against scalar on the bench
-/// inputs; returns false (and reports) on any mismatch.
+/// Byte-compares `level`'s output against scalar on the bench inputs;
+/// returns false (and reports) on any mismatch.
 bool VerifyIdentity(SimdLevel level) {
   const KernelTable& kt = KernelsFor(level);
   const KernelTable& ref = KernelsFor(SimdLevel::kScalar);
@@ -299,15 +315,16 @@ int Run() {
   for (int l = 0; l <= static_cast<int>(detected); ++l) {
     tier.push_back(static_cast<SimdLevel>(l));
   }
-  std::printf("SIMD kernel ablation (detected level: %s; warm-run median of "
-              "%d reps)\n\n",
-              SimdLevelName(detected), kTimedReps);
+  const unsigned nproc = std::thread::hardware_concurrency();
+  std::printf("SIMD kernel ablation (detected level: %s; nproc %u; %s build; "
+              "warm-run median of %d reps)\n\n",
+              SimdLevelName(detected), nproc, VISUALROAD_BUILD_TYPE,
+              kTimedReps);
 
-  bool identity_ok = true;
-  for (SimdLevel level : tier) identity_ok &= VerifyIdentity(level);
+  bool identity_ok = VerifyIdentity(detected);
 
   // ns-per-call medians, indexed [kernel][level].
-  double ns[kKernelCount][3] = {};
+  double ns[kKernelCount][kLevelCount] = {};
   for (const KernelCase& c : kCases) {
     for (SimdLevel level : tier) {
       ns[static_cast<int>(c.kernel)][static_cast<int>(level)] =
@@ -316,8 +333,7 @@ int Run() {
   }
 
   driver::TextTable table;
-  table.SetHeader({"Kernel", "scalar ns", "sse2 ns", "avx2 ns", "sse2 x",
-                   "avx2 x"});
+  table.SetHeader({"Kernel", "Path", "scalar ns", "avx2 ns", "avx2 x"});
   char buffer[64];
   auto fmt = [&buffer](double v) -> std::string {
     if (v <= 0.0) return "-";
@@ -326,35 +342,34 @@ int Run() {
   };
   for (const KernelCase& c : kCases) {
     int k = static_cast<int>(c.kernel);
-    double scalar = ns[k][0];
-    table.AddRow({KernelName(c.kernel), fmt(scalar), fmt(ns[k][1]),
-                  fmt(ns[k][2]),
-                  ns[k][1] > 0.0 ? fmt(scalar / ns[k][1]) + "x" : "-",
-                  ns[k][2] > 0.0 ? fmt(scalar / ns[k][2]) + "x" : "-"});
+    table.AddRow({KernelName(c.kernel), PathOf(c.kernel), fmt(ns[k][0]),
+                  fmt(ns[k][1]),
+                  ns[k][1] > 0.0 ? fmt(ns[k][0] / ns[k][1]) + "x" : "-"});
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // Decode-path aggregate: the kernels a Decode() call bottoms out in.
-  double path_ns[3] = {};
-  for (const KernelCase& c : kCases) {
-    if (!OnDecodePath(c.kernel)) continue;
-    for (SimdLevel level : tier) {
-      path_ns[static_cast<int>(level)] += ns[static_cast<int>(c.kernel)]
-                                            [static_cast<int>(level)];
+  // Per-path aggregates, indexed [path][level].
+  double path_ns[std::size(kPaths)][kLevelCount] = {};
+  for (size_t p = 0; p < std::size(kPaths); ++p) {
+    std::string names;
+    for (Kernel kernel : kPaths[p].kernels) {
+      for (SimdLevel level : tier) {
+        path_ns[p][static_cast<int>(level)] +=
+            ns[static_cast<int>(kernel)][static_cast<int>(level)];
+      }
+      if (!names.empty()) names += "+";
+      names += KernelName(kernel);
     }
-  }
-  std::printf("Decode-path aggregate (sad+fdct+idct+quant+dequant): ");
-  for (SimdLevel level : tier) {
-    int l = static_cast<int>(level);
-    if (l == 0) {
-      std::printf("scalar %.0fns", path_ns[0]);
-    } else if (path_ns[l] > 0.0) {
-      std::printf(", %s %.0fns (%.2fx)", SimdLevelName(level), path_ns[l],
-                  path_ns[0] / path_ns[l]);
+    std::printf("%s-path aggregate (%s): scalar %.0fns", kPaths[p].name,
+                names.c_str(), path_ns[p][0]);
+    if (path_ns[p][1] > 0.0) {
+      std::printf(", avx2 %.0fns (%.2fx)", path_ns[p][1],
+                  path_ns[p][0] / path_ns[p][1]);
     }
+    std::printf("\n");
   }
-  std::printf("\nIdentity: %s\n\n",
-              identity_ok ? "all levels byte-identical to scalar"
+  std::printf("Identity: %s\n\n",
+              identity_ok ? "every level byte-identical to scalar"
                           : "FAILURES (see stderr)");
 
   const char* env_out = std::getenv("VR_KERNELS_OUT");
@@ -366,35 +381,38 @@ int Run() {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  // One {"level", <value key>, "speedup_vs_scalar"} row per level.
+  auto write_levels = [&](const double* level_ns, const char* key,
+                          const char* indent) {
+    for (size_t t = 0; t < tier.size(); ++t) {
+      int l = static_cast<int>(tier[t]);
+      out << indent << "{\"level\": \"" << SimdLevelName(tier[t]) << "\", \""
+          << key << "\": " << level_ns[l] << ", \"speedup_vs_scalar\": "
+          << (level_ns[l] > 0.0 ? level_ns[0] / level_ns[l] : 0.0) << "}"
+          << (t + 1 < tier.size() ? "," : "") << "\n";
+    }
+  };
   out << "{\n  \"detected_level\": \"" << SimdLevelName(detected)
-      << "\",\n  \"identity_ok\": " << (identity_ok ? "true" : "false")
+      << "\",\n  \"nproc\": " << nproc << ",\n  \"build_type\": \""
+      << VISUALROAD_BUILD_TYPE << "\",\n  \"identity_ok\": "
+      << (identity_ok ? "true" : "false")
       << ",\n  \"warm_reps\": " << kWarmupReps
       << ",\n  \"timed_reps\": " << kTimedReps << ",\n  \"kernels\": [\n";
   for (size_t i = 0; i < std::size(kCases); ++i) {
-    int k = static_cast<int>(kCases[i].kernel);
-    out << "    {\n      \"name\": \"" << KernelName(kCases[i].kernel)
-        << "\",\n      \"decode_path\": "
-        << (OnDecodePath(kCases[i].kernel) ? "true" : "false")
-        << ",\n      \"levels\": [\n";
-    for (size_t t = 0; t < tier.size(); ++t) {
-      int l = static_cast<int>(tier[t]);
-      out << "        {\"level\": \"" << SimdLevelName(tier[t])
-          << "\", \"ns_per_call\": " << ns[k][l]
-          << ", \"speedup_vs_scalar\": "
-          << (ns[k][l] > 0.0 ? ns[k][0] / ns[k][l] : 0.0) << "}"
-          << (t + 1 < tier.size() ? "," : "") << "\n";
-    }
+    Kernel kernel = kCases[i].kernel;
+    out << "    {\n      \"name\": \"" << KernelName(kernel)
+        << "\",\n      \"path\": \"" << PathOf(kernel)
+        << "\",\n      \"levels\": [\n";
+    write_levels(ns[static_cast<int>(kernel)], "ns_per_call", "        ");
     out << "      ]\n    }" << (i + 1 < std::size(kCases) ? "," : "") << "\n";
   }
-  out << "  ],\n  \"decode_path_aggregate\": [\n";
-  for (size_t t = 0; t < tier.size(); ++t) {
-    int l = static_cast<int>(tier[t]);
-    out << "    {\"level\": \"" << SimdLevelName(tier[t])
-        << "\", \"ns\": " << path_ns[l] << ", \"speedup_vs_scalar\": "
-        << (path_ns[l] > 0.0 ? path_ns[0] / path_ns[l] : 0.0) << "}"
-        << (t + 1 < tier.size() ? "," : "") << "\n";
+  out << "  ]";
+  for (size_t p = 0; p < std::size(kPaths); ++p) {
+    out << ",\n  \"" << kPaths[p].name << "_path_aggregate\": [\n";
+    write_levels(path_ns[p], "ns", "    ");
+    out << "  ]";
   }
-  out << "  ]\n}\n";
+  out << "\n}\n";
   std::printf("Wrote %s\n", out_path.c_str());
   return identity_ok ? 0 : 1;
 }

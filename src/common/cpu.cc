@@ -9,15 +9,10 @@ namespace visualroad {
 namespace {
 
 SimdLevel ProbeCpu() {
-#if defined(VISUALROAD_FORCE_SCALAR_KERNELS)
-  return SimdLevel::kScalar;
-#elif defined(__x86_64__) || defined(__i386__)
+#if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
-  return SimdLevel::kScalar;
-#else
-  return SimdLevel::kScalar;
 #endif
+  return SimdLevel::kScalar;
 }
 
 }  // namespace
@@ -33,8 +28,6 @@ bool ParseSimdLevel(const std::string& text, SimdLevel* out) {
                  [](unsigned char c) { return std::tolower(c); });
   if (lower == "scalar") {
     *out = SimdLevel::kScalar;
-  } else if (lower == "sse2") {
-    *out = SimdLevel::kSse2;
   } else if (lower == "avx2") {
     *out = SimdLevel::kAvx2;
   } else {
@@ -47,8 +40,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }

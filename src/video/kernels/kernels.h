@@ -7,14 +7,16 @@
 // the 8x8 DCT/IDCT, quantisation, YUV<->RGB conversion, background
 // subtraction, plane accumulation, and rasterizer span shading — funnels
 // through one function-pointer table selected at startup from CPUID
-// (scalar / SSE2 / AVX2). Vector variants are BYTE-IDENTICAL to scalar by
-// construction: integer kernels are exact, and floating-point kernels mirror
-// the scalar expression tree operation for operation (same association order,
-// no FMA contraction, truncating conversions), so the determinism and
-// faults-off byte-identity suites pass unchanged at every dispatch level.
+// (scalar / AVX2). An entry has an AVX2 variant only where that variant beats
+// scalar by at least 1.2x; the others use the scalar kernel at both levels.
+// AVX2 variants are BYTE-IDENTICAL to scalar by construction: integer kernels
+// are exact, and floating-point kernels mirror the scalar expression tree
+// operation for operation (same association order, no FMA contraction,
+// truncating conversions), so the determinism and faults-off byte-identity
+// suites pass unchanged at both dispatch levels.
 //
-// Pin a level with VR_SIMD=scalar|sse2|avx2 (clamped to what the CPU
-// supports) or SetSimdLevelForTest(). The selected level is exported as the
+// Pin a level with VR_SIMD=scalar|avx2 (clamped to what the CPU supports) or
+// SetSimdLevelForTest(). The selected level is exported as the
 // vr_simd_level gauge; call volume per kernel flows into
 // vr_kernel_calls_total{kernel="..."} at call-site (batched) granularity.
 

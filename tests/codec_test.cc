@@ -861,7 +861,9 @@ TEST(CodecRobustness, BitFlippedStreamStaysBounded) {
     frame.data[position] ^= static_cast<uint8_t>(1 << rng.NextBounded(8));
     auto decoded = Decode(corrupted);
     EXPECT_TRUE(decoded.ok());
-    if (decoded.ok()) EXPECT_EQ(decoded->FrameCount(), 4);
+    if (decoded.ok()) {
+      EXPECT_EQ(decoded->FrameCount(), 4);
+    }
   }
 }
 

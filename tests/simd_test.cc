@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/cpu.h"
@@ -25,6 +28,11 @@
 // hold regardless of dispatch.
 
 namespace visualroad {
+
+// Names each SimdLevelTest case (and its ctest entry) by level, e.g.
+// AllLevels/SimdLevelTest.RasterSpanBitwiseIdentical/avx2.
+void PrintTo(SimdLevel level, std::ostream* os) { *os << SimdLevelName(level); }
+
 namespace {
 
 namespace kernels = video::kernels;
@@ -45,10 +53,7 @@ class SimdLevelTest : public testing::TestWithParam<SimdLevel> {
 };
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, SimdLevelTest,
-                         testing::ValuesIn(AvailableLevels()),
-                         [](const testing::TestParamInfo<SimdLevel>& info) {
-                           return SimdLevelName(info.param);
-                         });
+                         testing::ValuesIn(AvailableLevels()));
 
 // Deterministic content with enough motion and texture to exercise inter
 // prediction, early exits, and the masking threshold on both sides.
@@ -384,14 +389,13 @@ TEST(SimdDispatchTest, ParseAndNameRoundTrip) {
   SimdLevel level = SimdLevel::kAvx2;
   EXPECT_TRUE(ParseSimdLevel("scalar", &level));
   EXPECT_EQ(SimdLevel::kScalar, level);
-  EXPECT_TRUE(ParseSimdLevel("SSE2", &level));
-  EXPECT_EQ(SimdLevel::kSse2, level);
+  EXPECT_FALSE(ParseSimdLevel("sse2", &level));
+  EXPECT_EQ(SimdLevel::kScalar, level);  // Unparseable input leaves it alone.
   EXPECT_TRUE(ParseSimdLevel("Avx2", &level));
   EXPECT_EQ(SimdLevel::kAvx2, level);
   EXPECT_FALSE(ParseSimdLevel("avx512", &level));
-  EXPECT_EQ(SimdLevel::kAvx2, level);  // Unparseable input leaves it alone.
-  for (SimdLevel l :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  EXPECT_EQ(SimdLevel::kAvx2, level);
+  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     SimdLevel parsed = SimdLevel::kScalar;
     EXPECT_TRUE(ParseSimdLevel(SimdLevelName(l), &parsed));
     EXPECT_EQ(l, parsed);
@@ -401,6 +405,41 @@ TEST(SimdDispatchTest, ParseAndNameRoundTrip) {
 TEST(SimdDispatchTest, RequestedLevelNeverExceedsDetected) {
   EXPECT_LE(static_cast<int>(RequestedSimdLevel()),
             static_cast<int>(DetectedSimdLevel()));
+}
+
+// Sets VR_SIMD for one test and restores the caller's value (or its absence),
+// so the env-pinned test presets keep their pin for the tests that follow.
+class ScopedVrSimd {
+ public:
+  explicit ScopedVrSimd(const char* value) {
+    const char* old = std::getenv("VR_SIMD");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    setenv("VR_SIMD", value, /*overwrite=*/1);
+  }
+  ~ScopedVrSimd() {
+    if (had_old_) {
+      setenv("VR_SIMD", old_.c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv("VR_SIMD");
+    }
+  }
+  ScopedVrSimd(const ScopedVrSimd&) = delete;
+  ScopedVrSimd& operator=(const ScopedVrSimd&) = delete;
+
+ private:
+  bool had_old_ = false;
+  std::string old_;
+};
+
+TEST(SimdDispatchTest, VrSimdScalarPinsScalar) {
+  ScopedVrSimd pin("scalar");
+  EXPECT_EQ(SimdLevel::kScalar, RequestedSimdLevel());
+}
+
+TEST(SimdDispatchTest, VrSimdSse2IsUnparseableAndYieldsDetected) {
+  ScopedVrSimd pin("sse2");
+  EXPECT_EQ(DetectedSimdLevel(), RequestedSimdLevel());
 }
 
 TEST(SimdDispatchTest, SetLevelForTestClampsAndRepoints) {
