@@ -3,12 +3,14 @@
 // Times every dispatched pixel kernel at each SIMD level (scalar / AVX2,
 // clamped to what the host CPU reports) through the same KernelTable the
 // engines use, and cross-checks that the AVX2 level reproduces the scalar
-// output byte for byte on the bench inputs. Timings are warm-run medians:
-// every (kernel, level) pair runs one untimed warm-up rep, then the median of
-// five timed reps is reported. Two aggregates sum the kernels of each codec
-// direction: decode (IDCT + dequantise, what Decode() bottoms out in) and
-// encode (SAD + forward DCT + quantise). A table entry keeps its AVX2 variant
-// only if it beats scalar by at least 1.2x at the median of repeated runs.
+// output byte for byte on the bench inputs. Every (kernel, level) pair runs
+// one untimed warm-up rep; then the levels take turns rep by rep, so host
+// drift lands on both levels alike, and each pair reports the median and
+// interquartile range of its timed reps. Two aggregates sum the kernels of
+// each codec direction rep by rep: decode (IDCT + dequantise, what Decode()
+// bottoms out in) and encode (SAD + forward DCT + quantise). A table entry
+// keeps its AVX2 variant only if it beats scalar by at least 1.2x at the
+// median.
 //
 // Prints per-kernel tables and writes machine-readable results, with the
 // host's nproc and the build type, to bench/BENCH_kernels.json (override with
@@ -35,7 +37,7 @@ namespace visualroad::video::kernels {
 namespace {
 
 constexpr int kWarmupReps = 1;
-constexpr int kTimedReps = 5;
+constexpr int kTimedReps = 31;
 constexpr int kRowWidth = 1920;
 constexpr int kPlaneW = 256, kPlaneH = 144;
 
@@ -211,19 +213,39 @@ const char* PathOf(Kernel kernel) {
   return "other";
 }
 
-/// Warm-up then median-of-kTimedReps nanoseconds per kernel invocation.
-double MedianNsPerCall(const KernelCase& c, const KernelTable& kt) {
-  Workload w;
-  for (int rep = 0; rep < kWarmupReps; ++rep) c.run(kt, w);
-  std::vector<double> ns(kTimedReps);
-  for (int rep = 0; rep < kTimedReps; ++rep) {
-    Stopwatch watch;
-    c.run(kt, w);
-    ns[static_cast<size_t>(rep)] =
-        watch.ElapsedSeconds() * 1e9 / static_cast<double>(c.calls);
+/// Median and interquartile range of one (kernel, level) pair's timed reps.
+struct Summary {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Summary Summarize(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  size_t n = samples.size();
+  return {samples[n / 2], samples[(3 * n) / 4] - samples[n / 4]};
+}
+
+/// Nanoseconds per kernel invocation, kTimedReps samples per level in
+/// `tier`, indexed [level][rep]. After one warm-up rep per level, the levels
+/// alternate within every rep, and the first level alternates between reps.
+std::vector<std::vector<double>> InterleavedNsPerCall(
+    const KernelCase& c, const std::vector<SimdLevel>& tier) {
+  std::vector<Workload> workloads(tier.size());
+  for (size_t t = 0; t < tier.size(); ++t) {
+    for (int rep = 0; rep < kWarmupReps; ++rep) c.run(KernelsFor(tier[t]), workloads[t]);
   }
-  std::sort(ns.begin(), ns.end());
-  return ns[ns.size() / 2];
+  std::vector<std::vector<double>> ns(kLevelCount);
+  for (int rep = 0; rep < kTimedReps; ++rep) {
+    for (size_t i = 0; i < tier.size(); ++i) {
+      size_t t = (i + static_cast<size_t>(rep)) % tier.size();
+      Stopwatch watch;
+      c.run(KernelsFor(tier[t]), workloads[t]);
+      ns[static_cast<size_t>(tier[t])].push_back(
+          watch.ElapsedSeconds() * 1e9 / static_cast<double>(c.calls));
+    }
+  }
+  return ns;
 }
 
 /// Byte-compares `level`'s output against scalar on the bench inputs;
@@ -317,23 +339,26 @@ int Run() {
   }
   const unsigned nproc = std::thread::hardware_concurrency();
   std::printf("SIMD kernel ablation (detected level: %s; nproc %u; %s build; "
-              "warm-run median of %d reps)\n\n",
+              "median and IQR of %d interleaved reps)\n\n",
               SimdLevelName(detected), nproc, VISUALROAD_BUILD_TYPE,
               kTimedReps);
 
   bool identity_ok = VerifyIdentity(detected);
 
-  // ns-per-call medians, indexed [kernel][level].
-  double ns[kKernelCount][kLevelCount] = {};
+  // ns-per-call samples and their summaries, indexed [kernel][level].
+  std::vector<std::vector<double>> samples[kKernelCount];
+  Summary ns[kKernelCount][kLevelCount] = {};
   for (const KernelCase& c : kCases) {
+    int k = static_cast<int>(c.kernel);
+    samples[k] = InterleavedNsPerCall(c, tier);
     for (SimdLevel level : tier) {
-      ns[static_cast<int>(c.kernel)][static_cast<int>(level)] =
-          MedianNsPerCall(c, KernelsFor(level));
+      int l = static_cast<int>(level);
+      ns[k][l] = Summarize(samples[k][static_cast<size_t>(l)]);
     }
   }
 
   driver::TextTable table;
-  table.SetHeader({"Kernel", "Path", "scalar ns", "avx2 ns", "avx2 x"});
+  table.SetHeader({"Kernel", "Path", "scalar ns", "IQR", "avx2 ns", "IQR", "avx2 x"});
   char buffer[64];
   auto fmt = [&buffer](double v) -> std::string {
     if (v <= 0.0) return "-";
@@ -341,30 +366,37 @@ int Run() {
     return buffer;
   };
   for (const KernelCase& c : kCases) {
-    int k = static_cast<int>(c.kernel);
-    table.AddRow({KernelName(c.kernel), PathOf(c.kernel), fmt(ns[k][0]),
-                  fmt(ns[k][1]),
-                  ns[k][1] > 0.0 ? fmt(ns[k][0] / ns[k][1]) + "x" : "-"});
+    const Summary* level = ns[static_cast<int>(c.kernel)];
+    table.AddRow({KernelName(c.kernel), PathOf(c.kernel), fmt(level[0].median),
+                  fmt(level[0].iqr), fmt(level[1].median), fmt(level[1].iqr),
+                  level[1].median > 0.0
+                      ? fmt(level[0].median / level[1].median) + "x"
+                      : "-"});
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // Per-path aggregates, indexed [path][level].
-  double path_ns[std::size(kPaths)][kLevelCount] = {};
+  // Per-path aggregates, summed rep by rep, indexed [path][level].
+  Summary path_ns[std::size(kPaths)][kLevelCount] = {};
   for (size_t p = 0; p < std::size(kPaths); ++p) {
     std::string names;
-    for (Kernel kernel : kPaths[p].kernels) {
-      for (SimdLevel level : tier) {
-        path_ns[p][static_cast<int>(level)] +=
-            ns[static_cast<int>(kernel)][static_cast<int>(level)];
+    for (SimdLevel level : tier) {
+      size_t l = static_cast<size_t>(level);
+      std::vector<double> sum(kTimedReps, 0.0);
+      for (Kernel kernel : kPaths[p].kernels) {
+        const std::vector<double>& kernel_ns = samples[static_cast<int>(kernel)][l];
+        for (size_t rep = 0; rep < sum.size(); ++rep) sum[rep] += kernel_ns[rep];
       }
+      path_ns[p][l] = Summarize(std::move(sum));
+    }
+    for (Kernel kernel : kPaths[p].kernels) {
       if (!names.empty()) names += "+";
       names += KernelName(kernel);
     }
-    std::printf("%s-path aggregate (%s): scalar %.0fns", kPaths[p].name,
-                names.c_str(), path_ns[p][0]);
-    if (path_ns[p][1] > 0.0) {
-      std::printf(", avx2 %.0fns (%.2fx)", path_ns[p][1],
-                  path_ns[p][0] / path_ns[p][1]);
+    std::printf("%s-path aggregate (%s): scalar %.0fns (IQR %.0f)", kPaths[p].name,
+                names.c_str(), path_ns[p][0].median, path_ns[p][0].iqr);
+    if (path_ns[p][1].median > 0.0) {
+      std::printf(", avx2 %.0fns (IQR %.0f, %.2fx)", path_ns[p][1].median,
+                  path_ns[p][1].iqr, path_ns[p][0].median / path_ns[p][1].median);
     }
     std::printf("\n");
   }
@@ -381,15 +413,18 @@ int Run() {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  // One {"level", <value key>, "speedup_vs_scalar"} row per level.
-  auto write_levels = [&](const double* level_ns, const char* key,
+  // One {"level", <value key>, <value key>_iqr, "speedup_vs_scalar"} row per
+  // level; the speedup is the ratio of the medians.
+  auto write_levels = [&](const Summary* level_ns, const char* key,
                           const char* indent) {
     for (size_t t = 0; t < tier.size(); ++t) {
       int l = static_cast<int>(tier[t]);
       out << indent << "{\"level\": \"" << SimdLevelName(tier[t]) << "\", \""
-          << key << "\": " << level_ns[l] << ", \"speedup_vs_scalar\": "
-          << (level_ns[l] > 0.0 ? level_ns[0] / level_ns[l] : 0.0) << "}"
-          << (t + 1 < tier.size() ? "," : "") << "\n";
+          << key << "\": " << level_ns[l].median << ", \"" << key
+          << "_iqr\": " << level_ns[l].iqr << ", \"speedup_vs_scalar\": "
+          << (level_ns[l].median > 0.0 ? level_ns[0].median / level_ns[l].median
+                                       : 0.0)
+          << "}" << (t + 1 < tier.size() ? "," : "") << "\n";
     }
   };
   out << "{\n  \"detected_level\": \"" << SimdLevelName(detected)

@@ -80,9 +80,13 @@ int Run() {
   // --- Parallel tile generation ---
   // The VCG renders and encodes tiles concurrently when
   // GeneratorOptions::threads > 1; output stays byte-identical because each
-  // tile derives its own RNG substream and results merge in tile order. The
-  // speedup column only reflects real cores: on a single-core host every
-  // thread count collapses to serial wall-clock time.
+  // tile derives its own RNG substream and results merge in tile order.
+  // Within a tile, each frame's cameras already run on the codec pool at
+  // full width, so at 1 thread the cameras fill the cores and the Threads
+  // column measures only tile concurrency on top of that. Efficiency is the
+  // tile pool's busy share, which includes time its tasks wait on the codec
+  // pool. The speedup column only reflects real cores: on a single-core host
+  // every thread count collapses to serial wall-clock time.
   std::printf("Parallel tile generation (hardware threads: %d)\n",
               ThreadPool::HardwareThreads());
   sim::CityConfig config;

@@ -78,6 +78,10 @@ class ByteCursor {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ >= size_; }
+  /// Bytes left to read; 0 once a read has failed. A decoder bounds a
+  /// peer-supplied count by remaining() / (the element's minimum encoded
+  /// size) before looping over it.
+  size_t remaining() const { return ok_ ? size_ - pos_ : 0; }
 
  private:
   bool Require(size_t n) {

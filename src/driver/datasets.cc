@@ -64,49 +64,73 @@ void AttachCaptionTracks(sim::Dataset& dataset, uint64_t seed) {
   }
 }
 
+namespace {
+
+/// Builds one traffic asset's Q6(a) tracks, streaming: each frame is decoded,
+/// detected, drawn and encoded before the next is decoded, so memory holds
+/// one decoded frame rather than two whole videos.
+Status AttachAssetBoxTracks(const vision::MiniYolo& detector, sim::VideoAsset& asset) {
+  static const sim::FrameGroundTruth kEmpty;
+  const video::codec::EncodedVideo& input = asset.container.video;
+  if (input.frames.empty()) {
+    return Status::InvalidArgument("cannot encode an empty video");
+  }
+  // Format 1: an encoded video. Encoded near-losslessly (QP 2): consumers
+  // re-encode their joined output, and the two generations of codec noise
+  // must together stay clear of the 40 dB validation bar. Flat box regions
+  // encode tiny regardless of QP.
+  video::codec::EncoderConfig codec;
+  codec.profile = input.profile;
+  codec.qp = 2;
+  VR_ASSIGN_OR_RETURN(video::codec::Encoder encoder,
+                      video::codec::Encoder::Create(input.width, input.height, codec));
+  video::container::Container box_container;
+  box_container.video.profile = codec.profile;
+  box_container.video.width = input.width;
+  box_container.video.height = input.height;
+  box_container.video.fps = input.fps;
+  video::codec::Decoder decoder(input.width, input.height, input.profile);
+  video::Frame frame;
+  std::vector<std::vector<vision::Detection>> per_frame;
+  for (int f = 0; f < input.FrameCount(); ++f) {
+    size_t i = static_cast<size_t>(f);
+    VR_RETURN_IF_ERROR(decoder.DecodeFrame(input.frames[i], frame));
+    const sim::FrameGroundTruth& truth =
+        i < asset.ground_truth.size() ? asset.ground_truth[i] : kEmpty;
+    // The offline box video carries every detected object (both classes,
+    // each filled with its constant class colour).
+    std::vector<vision::Detection> detections = detector.Detect(frame, truth, f);
+    VR_ASSIGN_OR_RETURN(video::codec::EncodedFrame encoded,
+                        encoder.EncodeFrame(vision::RenderDetectionFrame(
+                            input.width, input.height, detections)));
+    box_container.video.frames.push_back(std::move(encoded));
+    per_frame.push_back(std::move(detections));
+  }
+  asset.container.tracks.push_back(video::container::MetadataTrack{
+      "BOXV", video::container::Mux(box_container)});
+  // Format 2: the serialized class-id + coordinate sequence.
+  asset.container.tracks.push_back(video::container::MetadataTrack{
+      "BOXS", vision::SerializeDetections(per_frame)});
+  return Status::Ok();
+}
+
+}  // namespace
+
 Status AttachBoxTracks(sim::Dataset& dataset,
                        const vision::DetectorOptions& detector_options) {
   vision::MiniYolo detector(detector_options);
-  static const sim::FrameGroundTruth kEmpty;
+  std::vector<sim::VideoAsset*> pending;
   for (sim::VideoAsset& asset : dataset.assets) {
     if (asset.camera.kind != sim::CameraKind::kTraffic) continue;
     if (asset.container.FindTrack("BOXV") != nullptr) continue;
-    VR_ASSIGN_OR_RETURN(video::Video decoded,
-                        video::codec::Decode(asset.container.video));
-    video::Video box_video;
-    box_video.fps = decoded.fps;
-    std::vector<std::vector<vision::Detection>> per_frame;
-    for (int f = 0; f < decoded.FrameCount(); ++f) {
-      const sim::FrameGroundTruth& truth =
-          static_cast<size_t>(f) < asset.ground_truth.size()
-              ? asset.ground_truth[static_cast<size_t>(f)]
-              : kEmpty;
-      // The offline box video carries every detected object (both classes,
-      // each filled with its constant class colour).
-      std::vector<vision::Detection> detections =
-          detector.Detect(decoded.frames[static_cast<size_t>(f)], truth, f);
-      box_video.frames.push_back(vision::RenderDetectionFrame(
-          decoded.Width(), decoded.Height(), detections));
-      per_frame.push_back(std::move(detections));
-    }
-    // Format 1: an encoded video. Encoded near-losslessly (QP 2): consumers
-    // re-encode their joined output, and the two generations of codec noise
-    // must together stay clear of the 40 dB validation bar. Flat box
-    // regions encode tiny regardless of QP.
-    video::codec::EncoderConfig codec;
-    codec.profile = asset.container.video.profile;
-    codec.qp = 2;
-    VR_ASSIGN_OR_RETURN(video::codec::EncodedVideo encoded,
-                        video::codec::Encode(box_video, codec));
-    video::container::Container box_container;
-    box_container.video = std::move(encoded);
-    asset.container.tracks.push_back(video::container::MetadataTrack{
-        "BOXV", video::container::Mux(box_container)});
-    // Format 2: the serialized class-id + coordinate sequence.
-    asset.container.tracks.push_back(video::container::MetadataTrack{
-        "BOXS", vision::SerializeDetections(per_frame)});
+    pending.push_back(&asset);
   }
-  return Status::Ok();
+  // One task per asset: each touches only its own asset, and the detector is
+  // const, so the tracks do not depend on the pool's width.
+  return video::codec::CodecParallelFor(
+      /*width=*/0, static_cast<int>(pending.size()), [&](int i) {
+        return AttachAssetBoxTracks(detector, *pending[static_cast<size_t>(i)]);
+      });
 }
 
 StatusOr<sim::Dataset> PrepareDataset(const sim::CityConfig& config,

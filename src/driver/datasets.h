@@ -36,7 +36,11 @@ void AttachCaptionTracks(sim::Dataset& dataset, uint64_t seed);
 /// implementation of Q2(c)" (Section 4.1.1), in both formats the VCD
 /// exposes — an encoded video ("BOXV" track, containing both object
 /// classes) and a serialized detection sequence ("BOXS" track). Engines may
-/// consume either when executing Q6(a).
+/// consume either when executing Q6(a). Assets that already carry "BOXV"
+/// are skipped. Each remaining traffic asset is one task on the codec pool
+/// that streams its video frame by frame (decode, detect, draw, encode), so
+/// memory holds one decoded frame per task; the tracks are byte-identical at
+/// every pool width.
 Status AttachBoxTracks(sim::Dataset& dataset,
                        const vision::DetectorOptions& detector_options = {});
 

@@ -469,13 +469,19 @@ Status SemanticCache::LoadPersisted() {
     entry.width = cursor.I32();
     entry.height = cursor.I32();
     entry.fps = cursor.F64();
-    if (!cursor.ok() || entry.range.count <= 0 || entry.range.count > (1 << 24)) {
+    // Each frame takes at least its 4-byte count and each detection 29
+    // bytes, so both counts are bounded by the bytes left before anything
+    // is sized from them.
+    constexpr size_t kMinFrameBytes = 4, kMinDetectionBytes = 29;
+    if (!cursor.ok() || entry.range.count <= 0 || entry.range.count > (1 << 24) ||
+        static_cast<size_t>(entry.range.count) > cursor.remaining() / kMinFrameBytes) {
       return Status::DataLoss("semantic cache entry truncated: " + name);
     }
     entry.detections.resize(static_cast<size_t>(entry.range.count));
     for (auto& frame : entry.detections) {
       uint32_t count = cursor.U32();
-      if (!cursor.ok() || count > (1u << 20)) {
+      if (!cursor.ok() || count > (1u << 20) ||
+          count > cursor.remaining() / kMinDetectionBytes) {
         return Status::DataLoss("semantic cache entry truncated: " + name);
       }
       frame.resize(count);

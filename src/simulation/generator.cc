@@ -39,8 +39,6 @@ int Dataset::PanoramicGroupCount() const {
 
 namespace {
 
-/// Renders and encodes every camera of one tile across the full duration.
-/// Per-camera streaming encoders keep memory proportional to one frame.
 metrics::Counter& FramesRenderedCounter() {
   static metrics::Counter& counter = metrics::MetricsRegistry::Global().GetCounter(
       "vr_generator_frames_rendered_total",
@@ -54,6 +52,9 @@ metrics::Counter& TilesGeneratedCounter() {
   return counter;
 }
 
+/// Renders and encodes every camera of one tile across the full duration,
+/// each frame's cameras as one loop on the codec pool. Per-camera streaming
+/// encoders keep memory proportional to one frame per camera.
 Status GenerateTile(const CityConfig& config,
                     const video::codec::EncoderConfig& codec_config, Tile& tile,
                     const std::vector<const CameraPlacement*>& cameras,
@@ -81,20 +82,29 @@ Status GenerateTile(const CityConfig& config,
     streams.push_back(std::move(stream));
   }
 
+  // The tile steps serially; then that frame's cameras render, encode and
+  // extract ground truth as one loop on the codec pool. Each camera owns its
+  // encoder and output vectors and reads the tile as const, and the loop's
+  // join is the barrier before the next Step, so the bytes do not depend on
+  // the pool's width.
+  const Tile& scene = tile;
   int frame_count = config.FrameCount();
   double dt = 1.0 / config.fps;
   for (int f = 0; f < frame_count; ++f) {
     tile.Step(dt);
-    for (PerCamera& stream : streams) {
-      Framebuffer fb = RenderScene(tile, stream.camera, f, config.seed);
-      video::Frame frame = video::RgbToFrame(fb.color);
-      VR_ASSIGN_OR_RETURN(video::codec::EncodedFrame encoded,
-                          stream.encoder.EncodeFrame(frame));
-      stream.asset.container.video.frames.push_back(std::move(encoded));
-      stream.asset.ground_truth.push_back(
-          ExtractGroundTruth(tile, stream.camera, fb));
-      ++frames_rendered;
-    }
+    VR_RETURN_IF_ERROR(video::codec::CodecParallelFor(
+        /*width=*/0, static_cast<int>(streams.size()), [&](int c) -> Status {
+          PerCamera& stream = streams[static_cast<size_t>(c)];
+          Framebuffer fb = RenderScene(scene, stream.camera, f, config.seed);
+          video::Frame frame = video::RgbToFrame(fb.color);
+          VR_ASSIGN_OR_RETURN(video::codec::EncodedFrame encoded,
+                              stream.encoder.EncodeFrame(frame));
+          stream.asset.container.video.frames.push_back(std::move(encoded));
+          stream.asset.ground_truth.push_back(
+              ExtractGroundTruth(scene, stream.camera, fb));
+          return Status::Ok();
+        }));
+    frames_rendered += static_cast<int64_t>(streams.size());
   }
 
   for (PerCamera& stream : streams) {

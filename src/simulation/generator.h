@@ -40,13 +40,15 @@ struct GeneratorOptions {
   video::codec::EncoderConfig codec;
   /// Number of simulated nodes for distributed generation; tiles are
   /// partitioned across nodes, which render in parallel (Section 5). 1 =
-  /// single-node mode.
+  /// single-node mode. Nodes share the codec pool for intra-tile work.
   int num_nodes = 1;
-  /// Worker threads for single-node generation: tiles render and encode
-  /// concurrently, one task per tile. Output is byte-identical to the serial
-  /// path because every tile derives its own RNG substream and results are
-  /// merged in tile order. Ignored when num_nodes > 1 (each simulated node
-  /// is already one worker).
+  /// Tiles in flight for single-node generation, one task per tile. Within a
+  /// tile, each frame's cameras always render and encode on the codec pool
+  /// at full width, so threads = 1 already uses every core and larger values
+  /// add only tile concurrency. Output is byte-identical at every value
+  /// because every tile derives its own RNG substream, its simulation steps
+  /// serially, and results are merged in tile order. Ignored when
+  /// num_nodes > 1 (each simulated node is already one worker).
   int threads = 1;
 };
 
@@ -55,9 +57,10 @@ struct GeneratorStats {
   double total_seconds = 0.0;
   int64_t frames_rendered = 0;
   int64_t bytes_encoded = 0;
-  /// Workers that rendered tiles (1 = serial path).
+  /// Tile workers (1 = one tile at a time).
   int workers = 1;
-  /// Executor counters for the tile pool (zeroed on the serial path).
+  /// Executor counters for the tile pool (zeroed when tiles run one at a
+  /// time).
   PoolStats pool;
 };
 

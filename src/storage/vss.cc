@@ -1,6 +1,7 @@
 #include "storage/vss.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/serialize.h"
@@ -773,10 +774,27 @@ Status VideoStorageService::LoadCatalog() {
     if (bytes.status().code() == StatusCode::kNotFound) return Status::Ok();
     return bytes.status();
   }
+  // Minimum encoded sizes of a video entry (empty name, no variants), a
+  // variant (no segments) and a segment. Every count is bounded by the bytes
+  // left before its loop runs, so a corrupt count cannot allocate or spin.
+  constexpr size_t kMinVideoBytes = 25, kMinVariantBytes = 41, kMinSegmentBytes = 24;
   ByteCursor cursor(*bytes);
+  auto read_count = [&cursor](size_t min_bytes, uint32_t& count) {
+    count = cursor.U32();
+    return cursor.ok() && count <= cursor.remaining() / min_bytes;
+  };
+  auto read_int = [&cursor](int& out) {
+    uint32_t value = cursor.U32();
+    if (value > static_cast<uint32_t>(std::numeric_limits<int>::max())) return false;
+    out = static_cast<int>(value);
+    return true;
+  };
   if (cursor.U32() != kCatalogMagic) return Status::DataLoss("bad vss catalog magic");
   use_clock_ = cursor.U64();
-  uint32_t video_count = cursor.U32();
+  uint32_t video_count = 0;
+  if (!read_count(kMinVideoBytes, video_count)) {
+    return Status::DataLoss("vss catalog video count exceeds its bytes");
+  }
   std::lock_guard lock(mutex_);
   catalog_.clear();
   for (uint32_t v = 0; v < video_count; ++v) {
@@ -784,9 +802,13 @@ Status VideoStorageService::LoadCatalog() {
     entry.name = cursor.Str();
     entry.profile = static_cast<video::codec::Profile>(cursor.U8());
     entry.fps = cursor.F64();
-    entry.frame_count = static_cast<int>(cursor.U32());
-    entry.gop_length = static_cast<int>(cursor.U32());
-    uint32_t variant_count = cursor.U32();
+    if (!read_int(entry.frame_count) || !read_int(entry.gop_length)) {
+      return Status::DataLoss("vss catalog frame count out of range");
+    }
+    uint32_t variant_count = 0;
+    if (!read_count(kMinVariantBytes, variant_count)) {
+      return Status::DataLoss("vss catalog variant count exceeds its bytes");
+    }
     for (uint32_t i = 0; i < variant_count; ++i) {
       VariantKey key;
       key.width = cursor.I32();
@@ -798,13 +820,17 @@ Status VideoStorageService::LoadCatalog() {
       variant.bytes = static_cast<int64_t>(cursor.U64());
       variant.last_use = cursor.U64();
       variant.hits = static_cast<int64_t>(cursor.U64());
-      uint32_t segment_count = cursor.U32();
+      uint32_t segment_count = 0;
+      if (!read_count(kMinSegmentBytes, segment_count)) {
+        return Status::DataLoss("vss catalog segment count exceeds its bytes");
+      }
       for (uint32_t s = 0; s < segment_count; ++s) {
         SegmentInfo segment;
         segment.offset = static_cast<int64_t>(cursor.U64());
         segment.length = static_cast<int64_t>(cursor.U64());
-        segment.first_frame = static_cast<int>(cursor.U32());
-        segment.frame_count = static_cast<int>(cursor.U32());
+        if (!read_int(segment.first_frame) || !read_int(segment.frame_count)) {
+          return Status::DataLoss("vss catalog segment frame out of range");
+        }
         variant.segments.push_back(segment);
       }
       stats_.bytes_stored += variant.bytes;

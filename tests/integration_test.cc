@@ -151,6 +151,35 @@ TEST(DeterminismTest, IdenticalConfigurationsProduceIdenticalDatasets) {
   }
 }
 
+TEST(DeterminismTest, PreparedDatasetMatchesRecordedDigest) {
+  // Set-up renders each tile's cameras and builds each traffic stream's box
+  // tracks on the codec pool. Every asset's muxed container (video, GTRU,
+  // WVTT, BOXV, BOXS) must keep the bytes of the serial implementation that
+  // preceded the parallel one, at one tile thread and at four.
+  constexpr uint64_t kSerialDigest = 0x06c04e618fc37f3full;
+  sim::CityConfig config;
+  config.scale_factor = 2;
+  config.width = 64;
+  config.height = 36;
+  config.duration_seconds = 1.0;
+  config.fps = 15;
+  config.seed = 5;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    sim::GeneratorOptions options;
+    options.threads = threads;
+    auto dataset = driver::PrepareDataset(config, options);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis.
+    for (const sim::VideoAsset& asset : dataset->assets) {
+      for (uint8_t byte : video::container::Mux(asset.container)) {
+        digest = (digest ^ byte) * 1099511628211ull;
+      }
+    }
+    EXPECT_EQ(digest, kSerialDigest) << std::hex << digest;
+  }
+}
+
 TEST(DeterminismTest, QueryBatchesIdenticalAcrossEnginesAndRuns) {
   sim::CityConfig config;
   config.scale_factor = 1;

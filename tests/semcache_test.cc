@@ -5,20 +5,61 @@
 // are shared across queries.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/serialize.h"
 #include "driver/datasets.h"
 #include "queries/plan.h"
 #include "queries/semantic_cache.h"
 #include "storage/sharded_store.h"
 #include "systems/vdbms.h"
 #include "video/codec/gop_cache.h"
+
+namespace {
+
+// The largest single allocation made while tracking is on, so a test can show
+// that a loader sized nothing from a count its bytes cannot back (a 400 MB
+// resize succeeds, so the DataLoss status alone does not show it).
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_allocation.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// The nothrow forms are replaced too, so every scalar new and delete pairs
+// malloc with free (a sanitizer otherwise reports its own nothrow new freed
+// here). The deletes are out of line, so GCC does not pair an inlined free
+// with a new-expression and warn (-Wmismatched-new-delete).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace visualroad::queries {
 namespace {
@@ -237,6 +278,54 @@ TEST(SemanticCacheTest, PersistAndLoadRoundTripThroughShardedStore) {
   EXPECT_EQ(slice[0][0].box.x0, 5);
   EXPECT_DOUBLE_EQ(slice[0][0].score, 0.9);
   EXPECT_NE(recovered.Probe(TestKey(0.0, "model-b"), {40, 10}), nullptr);
+  fs::remove_all(root);
+}
+
+TEST(SemanticCacheTest, PersistedCountsBeyondTheirBytesAreDataLoss) {
+  // A persisted entry is 60 bytes long yet claims 2^24 frames (the loader's
+  // cap): sizing from that count would allocate ~400 MB before reading a
+  // frame. A frame claiming 2^20 detections with no bytes left is the same
+  // fault one level down. Both must fail without a large allocation.
+  std::string root = (fs::temp_directory_path() /
+                      ("vr_semcache_bounds_test_" + std::to_string(::getpid())))
+                         .string();
+  fs::remove_all(root);
+  storage::StoreOptions store_options;
+  store_options.root = root;
+  auto store = storage::ShardedStore::Open(store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto entry = [](int32_t frames, uint32_t detections) {
+    ByteWriter writer;
+    writer.U32(0x43535256);  // "VRSC".
+    writer.U32(1);
+    writer.U64(0x1234);
+    writer.Str("m-a");
+    writer.F64(0.0);
+    writer.I32(0);
+    writer.I32(frames);
+    writer.I32(64);
+    writer.I32(36);
+    writer.F64(15.0);
+    writer.U32(detections);
+    writer.U8(0);
+    return writer.Take();
+  };
+  SemanticCacheOptions options;
+  options.store = &*store;
+  for (auto [frames, detections] : {std::pair<int32_t, uint32_t>{1 << 24, 0},
+                                    std::pair<int32_t, uint32_t>{1, 1u << 20}}) {
+    std::vector<uint8_t> bytes = entry(frames, detections);
+    ASSERT_EQ(bytes.size(), 60u);
+    ASSERT_TRUE(store->Put("semcache/bounds", bytes).ok());
+    SemanticCache cache(options);
+    g_largest_allocation = 0;
+    g_track_allocations = true;
+    Status status = cache.LoadPersisted();
+    g_track_allocations = false;
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    EXPECT_EQ(cache.stats().loaded, 0);
+    EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
+  }
   fs::remove_all(root);
 }
 

@@ -671,6 +671,26 @@ TEST_F(GeneratorTest, PanoramicGroupHasFourOrderedFaces) {
   }
 }
 
+/// Byte-identical, not just same-sized: every encoded frame of every asset
+/// must match, and ground truth and camera order must agree.
+void ExpectSameAssets(const sim::Dataset& a, const sim::Dataset& b) {
+  ASSERT_EQ(a.assets.size(), b.assets.size());
+  for (size_t i = 0; i < a.assets.size(); ++i) {
+    const VideoAsset& sa = a.assets[i];
+    const VideoAsset& sb = b.assets[i];
+    EXPECT_EQ(sa.camera.camera_id, sb.camera.camera_id);
+    ASSERT_EQ(sa.container.video.FrameCount(), sb.container.video.FrameCount());
+    for (size_t f = 0; f < sa.container.video.frames.size(); ++f) {
+      EXPECT_EQ(sa.container.video.frames[f].data,
+                sb.container.video.frames[f].data)
+          << "asset " << i << " frame " << f;
+    }
+    EXPECT_EQ(sim::SerializeGroundTruth(sa.ground_truth),
+              sim::SerializeGroundTruth(sb.ground_truth))
+        << "asset " << i;
+  }
+}
+
 TEST(GeneratorModesTest, DistributedMatchesSingleNode) {
   CityConfig config;
   config.scale_factor = 2;
@@ -687,12 +707,7 @@ TEST(GeneratorModesTest, DistributedMatchesSingleNode) {
   auto db = b.Generate(config);
   ASSERT_TRUE(da.ok());
   ASSERT_TRUE(db.ok());
-  ASSERT_EQ(da->assets.size(), db->assets.size());
-  for (size_t i = 0; i < da->assets.size(); ++i) {
-    EXPECT_EQ(da->assets[i].container.video.TotalBytes(),
-              db->assets[i].container.video.TotalBytes());
-    EXPECT_EQ(da->assets[i].camera.camera_id, db->assets[i].camera.camera_id);
-  }
+  ExpectSameAssets(*da, *db);
 }
 
 TEST(GeneratorModesTest, ParallelTilesMatchSerialByteForByte) {
@@ -714,21 +729,7 @@ TEST(GeneratorModesTest, ParallelTilesMatchSerialByteForByte) {
   EXPECT_EQ(a.last_stats().workers, 1);
   EXPECT_EQ(b.last_stats().workers, 8);
   EXPECT_GT(b.last_stats().pool.tasks_executed, 0);
-  ASSERT_EQ(da->assets.size(), db->assets.size());
-  // Byte-identical, not just same-sized: every encoded frame of every asset
-  // must match, and ground truth and camera order must agree.
-  for (size_t i = 0; i < da->assets.size(); ++i) {
-    const VideoAsset& sa = da->assets[i];
-    const VideoAsset& sb = db->assets[i];
-    EXPECT_EQ(sa.camera.camera_id, sb.camera.camera_id);
-    ASSERT_EQ(sa.container.video.FrameCount(), sb.container.video.FrameCount());
-    for (size_t f = 0; f < sa.container.video.frames.size(); ++f) {
-      EXPECT_EQ(sa.container.video.frames[f].data,
-                sb.container.video.frames[f].data)
-          << "asset " << i << " frame " << f;
-    }
-    EXPECT_EQ(sa.ground_truth.size(), sb.ground_truth.size());
-  }
+  ExpectSameAssets(*da, *db);
 }
 
 TEST(GeneratorModesTest, RejectsInvalidConfig) {

@@ -352,7 +352,8 @@ TEST_F(ShardedStoreTest, InjectedWriteFailuresReplaceReplicas) {
   int succeeded = 0;
   for (int i = 0; i < 8; ++i) {
     std::vector<uint8_t> payload = RandomBytes(600, 30 + static_cast<uint64_t>(i));
-    std::string name = "f" + std::to_string(i);
+    std::string name = "f";
+    name += std::to_string(i);
     if (!store->Put(name, payload).ok()) continue;
     ++succeeded;
     auto loaded = store->Get(name);

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/serialize.h"
 #include "driver/dataset_io.h"
 #include "driver/datasets.h"
 #include "storage/vss_policy.h"
@@ -214,6 +215,45 @@ TEST_F(VssTest, CatalogAndVariantsSurviveReopen) {
   ASSERT_TRUE(reopened->ReadVideo("cam", tier).ok());
   EXPECT_EQ(reopened->stats().transcodes, 0);
   EXPECT_EQ(reopened->stats().variant_hits, 1);
+}
+
+TEST_F(VssTest, CatalogCountsBeyondTheirBytesAreDataLoss) {
+  // A catalog written by the layout SaveCatalogLocked uses, ending right
+  // after one of its counts. Each count must be bounded by the bytes left
+  // before its loop runs: a segment count of 0xFFFFFFFF would otherwise push
+  // about 4.3G segments (~100 GB) before the truncation check. The last
+  // catalog is complete but for a frame count above INT_MAX.
+  enum class Cut { kVideos, kVariants, kSegments, kFrameCount };
+  auto catalog = [](Cut cut) {
+    ByteWriter writer;
+    writer.U32(0x53565256);  // "VRVS".
+    writer.U64(7);
+    writer.U32(cut == Cut::kVideos ? 0xFFFFFFFFu : 1);
+    if (cut == Cut::kVideos) return writer.Take();
+    writer.Str("cam");
+    writer.U8(0);
+    writer.F64(15.0);
+    writer.U32(cut == Cut::kFrameCount ? 0x80000000u : 12);
+    writer.U32(4);
+    writer.U32(cut == Cut::kVariants ? 0xFFFFFFFFu : 1);
+    if (cut == Cut::kVariants) return writer.Take();
+    writer.I32(64);
+    writer.I32(36);
+    writer.I32(0);
+    writer.U8(1);
+    writer.U64(100);
+    writer.U64(1);
+    writer.U64(0);
+    writer.U32(cut == Cut::kSegments ? 0xFFFFFFFFu : 0);
+    return writer.Take();
+  };
+  for (Cut cut : {Cut::kSegments, Cut::kVariants, Cut::kVideos, Cut::kFrameCount}) {
+    SCOPED_TRACE(static_cast<int>(cut));
+    ASSERT_TRUE(store_->Put("vss/catalog.vrvc", catalog(cut)).ok());
+    auto vss = VideoStorageService::Open(Options());
+    ASSERT_FALSE(vss.ok());
+    EXPECT_EQ(vss.status().code(), StatusCode::kDataLoss) << vss.status().ToString();
+  }
 }
 
 TEST_F(VssTest, SingleFlightCoalescesConcurrentTranscodes) {
